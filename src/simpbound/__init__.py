@@ -34,6 +34,7 @@ from .expr import (
     EvalDomainError,
     Expr,
     ParseError,
+    Tape,
     Unary,
     UnknownIdentifierError,
     Var,
@@ -84,6 +85,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "SKIPPED",
+    "Tape",
     "Unary",
     "UnknownIdentifierError",
     "VERIFIED",

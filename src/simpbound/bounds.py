@@ -13,7 +13,7 @@ from math import isfinite
 from typing import Optional
 
 from .domain import PhiInterval
-from .expr import Expr, differentiate, evaluate
+from .expr import Expr, Tape, differentiate, evaluate
 
 __all__ = [
     "BoundInputs",
@@ -61,7 +61,7 @@ class BoundInputs:
 
     @classmethod
     def from_function(cls, f: Expr, iv: PhiInterval, q: float = 1.0) -> "BoundInputs":
-        fp = differentiate(f)
+        fp = Tape(differentiate(f))
         return cls(
             deriv_a=abs(evaluate(fp, complex(iv.a))),
             deriv_b=abs(evaluate(fp, complex(iv.b))),
@@ -168,6 +168,7 @@ def estimate_m4(f: Expr, iv: PhiInterval, samples: int = 101) -> float:
     d4 = f
     for _ in range(4):
         d4 = differentiate(d4)
+    d4 = Tape(d4)
     best = 0.0
     for k in range(samples):
         t = k / (samples - 1)

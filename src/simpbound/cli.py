@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -84,6 +85,10 @@ PHI_TOKENS = {
 
 VERDICT_ALL_DOMINANT = "all-dominant"
 VERDICT_VIOLATIONS = "violations-listed"
+
+# Prefix for an OverflowError, whose own text is a bare errno tuple; a float
+# power such as |f'(b)|^q raises one when the result is out of range.
+OVERFLOW = "numerical overflow:"
 
 
 class ConfigError(Exception):
@@ -258,6 +263,8 @@ def cmd_sweep(config: SweepConfig) -> SweepReport:
             cells.append(SweepCell(cell_config, cmd_verify(cell_config), None))
         except (ConfigError, ParseError, EvalDomainError, QuadratureError, ValueError) as exc:
             cells.append(SweepCell(cell_config, None, str(exc)))
+        except OverflowError as exc:
+            cells.append(SweepCell(cell_config, None, f"{OVERFLOW} {exc}"))
     return SweepReport(tuple(cells), _summarize(cells))
 
 
@@ -412,9 +419,30 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     )
 
 
+# Options whose value may be a negative number or a list starting with one.
+NUMERIC_OPTIONS = ("--a", "--b", "--q")
+_NEGATIVE_VALUE = r"-[\d.]"
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--a -1e-300`` as ``--a=-1e-300``.
+
+    argparse takes a separate argument that starts with ``-`` for an option
+    unless it looks like a plain negative number, which rules out scientific
+    notation and comma lists.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in NUMERIC_OPTIONS and re.match(_NEGATIVE_VALUE, arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             config = _verify_config(args)
@@ -429,6 +457,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except (EvalDomainError, QuadratureError, ValueError) as exc:
         print(f"simpbound: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except OverflowError as exc:
+        print(f"simpbound: {OVERFLOW} {exc}", file=sys.stderr)
         return EXIT_MATH
     try:
         emit_report(report, fmt, output)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .domain import PhiInterval
-from .expr import Expr, differentiate, evaluate
+from .expr import Expr, Tape, differentiate, evaluate
 
 __all__ = [
     "ConvexityCertificate",
@@ -57,7 +57,7 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, q: float,
         raise ValueError(f"need at least 3 samples, got {samples}")
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    fp = differentiate(f)
+    fp = Tape(differentiate(f))
     at_a = abs(evaluate(fp, complex(iv.a))) ** q
     at_b = abs(evaluate(fp, complex(iv.b))) ** q
     worst = math.inf

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domain import KERNEL_BREAKPOINTS, PhiInterval, kernel
-from .expr import Expr, differentiate, evaluate
+from .expr import Expr, Tape, differentiate, evaluate
 from .quad import DEFAULT_BUDGET, DEFAULT_TOL, contour_integral, integrate_01
 
 __all__ = [
@@ -43,9 +43,10 @@ class IdentityReport:
 
 def simpson_functional(f: Expr, iv: PhiInterval) -> complex:
     """(1/6)[f(a) + 4 f(midpoint) + f(endpoint)] on the rotated segment."""
-    fa = evaluate(f, complex(iv.a))
-    fm = evaluate(f, iv.midpoint)
-    fb = evaluate(f, iv.endpoint)
+    tape = Tape(f)
+    fa = evaluate(tape, complex(iv.a))
+    fm = evaluate(tape, iv.midpoint)
+    fb = evaluate(tape, iv.endpoint)
     return (fa + 4.0 * fm + fb) / 6.0
 
 
@@ -59,7 +60,7 @@ def path_mean(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL,
 def identity_rhs(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL,
                  budget: int = DEFAULT_BUDGET) -> complex:
     """chord * integral of kernel(t) * f'(path(t)), split at the kernel kinks."""
-    fp = differentiate(f)
+    fp = Tape(differentiate(f))
     chord = iv.chord
     inner = integrate_01(
         lambda t: kernel(t) * evaluate(fp, iv.path_point(t)),

@@ -19,7 +19,7 @@ from itertools import count
 from typing import Callable, Sequence
 
 from .domain import PhiInterval
-from .expr import Expr, evaluate
+from .expr import Expr, Tape, evaluate
 
 __all__ = [
     "QuadratureResult",
@@ -200,8 +200,9 @@ def contour_integral(
     """
     chord = iv.chord
     scale = abs(chord)
+    tape = Tape(f)
     inner = integrate_01(
-        lambda t: evaluate(f, iv.path_point(t)),
+        lambda t: evaluate(tape, iv.path_point(t)),
         tol=tol / scale,
         budget=budget,
     )

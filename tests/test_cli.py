@@ -73,6 +73,35 @@ class TestExitCodes:
                                      "--output", str(tmp_path / "missing" / "out.json")])
         assert code == 4
 
+    def test_overflow_is_a_math_error(self, capsys):
+        # |f'(10)|^400 = e^4000 overflows a float power in the certificate
+        code, _, err = _run(capsys, ["verify", "--f", "exp(x)", "--a", "0", "--b", "10",
+                                     "--q", "400", "--samples", "51"])
+        assert code == 3
+        assert "numerical overflow" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["(" * 600 + "x" + ")" * 600, " + ".join(["x"] * 3000)],
+                             ids=["parentheses", "long-sum"])
+    def test_nesting_beyond_the_depth_limit_is_a_config_error(self, capsys, text):
+        code, _, err = _run(capsys, ["verify", "--f", text, "--a", "0", "--b", "1"])
+        assert code == 2
+        assert "nested deeper than 64 levels" in err
+
+    @pytest.mark.parametrize("a,b", [("-1e-300", "1"), ("-2.5E+0", "-1e-300")])
+    def test_negative_scientific_endpoints(self, capsys, a, b):
+        code, out, err = _run(capsys, ["verify", "--f", "x^2", "--a", a, "--b", b,
+                                       "--q", "2e0", "--format", "csv"])
+        assert code == 0, err
+        row = out.splitlines()[1].split(",")
+        assert (float(row[1]), float(row[2]), float(row[5])) == (float(a), float(b), 2.0)
+
+    def test_negative_q_reaches_the_configuration_check(self, capsys):
+        code, _, err = _run(capsys, ["verify", "--f", "x^2", "--a", "0", "--b", "1",
+                                     "--q", "-1e0"])
+        assert code == 2
+        assert "q must be finite and >= 1" in err
+
 
 class TestPhiParsing:
     @pytest.mark.parametrize("token,expected", [
@@ -205,6 +234,21 @@ class TestSweep:
         assert sweep.cells[0].report is None
         assert "division by zero" in sweep.cells[0].error
         assert sweep.cells[1].report is not None
+
+    def test_overflowing_cell_recorded_not_fatal(self, capsys):
+        code, out, _ = _run(capsys, ["sweep", "--f", "exp(x)", "--f", "x", "--a", "0",
+                                     "--b", "10", "--q", "400", "--samples", "51",
+                                     "--format", "json"])
+        assert code == 0
+        runs = json.loads(out)["runs"]
+        assert [run["status"] for run in runs] == ["error", "ok"]
+        assert runs[0]["error"].startswith("numerical overflow")
+
+    def test_negative_scientific_endpoints(self, capsys):
+        code, out, _ = _run(capsys, ["sweep", "--f", "x^2", "--a", "-1e-3,-.5", "--b", "1",
+                                     "--q", "2", "--samples", "51", "--format", "csv"])
+        assert code == 0
+        assert {line.split(",")[1] for line in out.splitlines()[1:]} == {"-0.001", "-0.5"}
 
     def test_summary_fields(self):
         config = SweepConfig(

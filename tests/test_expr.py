@@ -79,6 +79,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x +")
 
+    def test_depth_limit(self):
+        assert parse(" + ".join(["x"] * 64)) is not None  # 63 sums: depth 64
+        assert parse("-" * 63 + "x") is not None
+        assert parse("sin(" * 63 + "x" + ")" * 63) is not None
+        for text in (" + ".join(["x"] * 65), "-" * 64 + "x", "x" + "^x" * 64,
+                     "sin(" * 64 + "x" + ")" * 64, "(" * 600 + "x" + ")" * 600,
+                     " + ".join(["x"] * 3000)):
+            with pytest.raises(ParseError, match="nested deeper than 64 levels"):
+                parse(text)
+
     def test_stray_character(self):
         with pytest.raises(ParseError) as info:
             parse("x @ 2")

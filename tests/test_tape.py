@@ -1,0 +1,128 @@
+"""The tape against the recursive tree walk it replaced, kept here as the reference."""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from simpbound import (Binary, Const, EvalDomainError, Tape, Unary, Var, differentiate, evaluate,
+                       parse)
+from simpbound.expr import _UNARY_FN, _power
+
+
+def reference_evaluate(e, z):
+    """Recursive evaluation of the tree, node by node, with no sharing."""
+    z = complex(z)
+    kind = type(e)
+    if kind is Const:
+        return e.value
+    if kind is Var:
+        return z
+    if kind is Unary:
+        v = reference_evaluate(e.arg, z)
+        if e.op == "neg":
+            return -v
+        if e.op == "log" and v == 0:
+            raise EvalDomainError("log of 0", e)
+        try:
+            out = _UNARY_FN[e.op](v)
+        except (ValueError, OverflowError) as exc:
+            raise EvalDomainError(f"{e.op} undefined at {v!r}", e) from exc
+        return _finite(out, e)
+    left = reference_evaluate(e.left, z)
+    right = reference_evaluate(e.right, z)
+    op = e.op
+    if op == "+":
+        out = left + right
+    elif op == "-":
+        out = left - right
+    elif op == "*":
+        out = left * right
+    elif op == "/":
+        if right == 0:
+            raise EvalDomainError("division by zero", e)
+        out = left / right
+    else:
+        out = _power(left, right, e)
+    return _finite(out, e)
+
+
+def _finite(v, node):
+    if not cmath.isfinite(v):
+        raise EvalDomainError(f"non-finite value {v!r}", node)
+    return v
+
+
+def outcome(evaluator, e, z):
+    """The value's repr, or the error's type and message."""
+    try:
+        return repr(evaluator(e, z))
+    except EvalDomainError as exc:
+        return ("EvalDomainError", str(exc))
+
+
+_signed = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -2.5, 1e-200, 1e200))
+_constants = st.one_of(_signed, st.floats(-4.0, 4.0)).map(lambda v: Const(complex(v)))
+_exprs = st.recursive(
+    st.one_of(_constants, st.just(Var())),
+    lambda child: st.one_of(
+        st.builds(Unary, st.sampled_from(("neg", "exp", "log", "sin", "cos", "sqrt")), child),
+        st.builds(Binary, st.sampled_from(("+", "-", "*", "/", "^")), child, child),
+    ),
+    max_leaves=6,
+)
+_parts = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-300, 700.0)),
+                   st.floats(-3.0, 3.0))
+_points = st.builds(complex, _parts, _parts)
+
+
+@given(e=_exprs, z=_points)
+@settings(max_examples=300)
+def test_tape_matches_the_recursive_walk_through_the_fourth_derivative(e, z):
+    for _ in range(5):
+        tape = Tape(e)
+        assert outcome(evaluate, tape, z) == outcome(reference_evaluate, e, z)
+        assert outcome(evaluate, e, z) == outcome(evaluate, tape, z)
+        e = differentiate(e)
+
+
+def test_signed_zero_constants_keep_separate_slots():
+    e = Binary("+", Const(complex(-0.0)), Const(complex(0.0)))
+    assert repr(evaluate(e, 1.0)) == repr(reference_evaluate(e, 1.0)) == "0j"
+    assert len(Tape(e).slots) == 4  # x, -0.0, 0.0 and the sum
+
+
+def test_equal_subterms_share_one_slot():
+    d4 = parse("exp(sin(x))/(1+x^2)")
+    for _ in range(4):
+        d4 = differentiate(d4)
+    tape = Tape(d4)
+    nodes, stack = 0, [d4]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack.extend(getattr(node, name) for name in ("arg", "left", "right") if hasattr(node, name))
+    assert nodes > 10 * len(tape.code)
+    for x in (0.0, 0.3, 1.7):
+        assert repr(evaluate(tape, x)) == repr(reference_evaluate(d4, x))
+
+
+def test_error_names_a_node_equal_to_the_failing_one():
+    e = Binary("+", Unary("log", Var()), Unary("exp", Unary("log", Var())))
+    with pytest.raises(EvalDomainError, match=r"^log of 0 in 'log\(x\)'$") as info:
+        evaluate(e, 0.0)
+    assert info.value.node == Unary("log", Var())
+
+
+def test_a_deep_chain_builds_and_runs_without_recursion():
+    e = Var()
+    for _ in range(3000):
+        e = Unary("neg", e)
+    assert evaluate(e, 1.5) == 1.5
+    assert evaluate(Tape(e), -2.0) == -2.0
+    s = Var()
+    for k in range(3000):
+        s = Binary("+", s, Const(complex(float(k))))
+    assert evaluate(s, 0.0) == math.fsum(range(3000))
+
