@@ -12,9 +12,9 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bounds import (
     BoundInputs,
@@ -34,8 +34,8 @@ from .convexity import (
     ConvexityCertificate,
     certify_phi_convexity,
 )
-from .domain import HALF_PI, PhiInterval
-from .expr import EvalDomainError, ParseError, parse
+from .domain import PhiInterval
+from .expr import EvalDomainError, Expr, ParseError, parse
 from .identity import DEFAULT_IDENTITY_TOL, IdentityReport, identity_residual
 from .quad import DEFAULT_TOL, QuadratureError
 from .report import (
@@ -90,6 +90,9 @@ VERDICT_VIOLATIONS = "violations-listed"
 # power such as |f'(b)|^q raises one when the result is out of range.
 OVERFLOW = "numerical overflow:"
 
+# Errors raised while evaluating a configuration (exit 3, or a failed cell).
+MATH_ERRORS = (EvalDomainError, QuadratureError, ValueError, OverflowError)
+
 
 class ConfigError(Exception):
     """Invalid run configuration (maps to exit code 2)."""
@@ -105,99 +108,107 @@ class RunConfig:
     oracle_tol: float = DEFAULT_TOL
     identity_tol: float = DEFAULT_IDENTITY_TOL
     certificate_samples: int = DEFAULT_CERT_SAMPLES
-    fmt: str = "table"
-    output: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class RunReport:
     config: RunConfig
     identity: IdentityReport
-    identity_ok: bool
     certificates: tuple[ConvexityCertificate, ...]
-    bounds: tuple[BoundReport, ...]
+    rows_per_q: tuple[tuple[BoundReport, ...], ...]  # the theorem rows of each certificate
     classical: Optional[BoundReport]
     m4_estimate: Optional[float]
-    verdict: str
+
+    @property
+    def bounds(self) -> tuple[BoundReport, ...]:
+        return tuple(row for rows in self.rows_per_q for row in rows)
 
     def all_rows(self) -> tuple[BoundReport, ...]:
-        if self.classical is None:
-            return self.bounds
-        return self.bounds + (self.classical,)
+        return self.bounds + (() if self.classical is None else (self.classical,))
+
+    @property
+    def identity_ok(self) -> bool:
+        return self.identity.residual <= self.config.identity_tol
+
+    @property
+    def verdict(self) -> str:
+        dominant = all(r.dominant for r in self.all_rows())
+        return VERDICT_ALL_DOMINANT if dominant else VERDICT_VIOLATIONS
 
     @property
     def passed(self) -> bool:
         """Identity within tolerance and no verified-certificate violation."""
-        if not self.identity_ok:
-            return False
-        return not any(r.certificate_status == VERIFIED and not r.dominant
-                       for r in self.bounds)
+        return self.identity_ok and not any(
+            r.certificate_status == VERIFIED and not r.dominant for r in self.bounds)
+
+    def cell(self, k: int) -> "RunReport":
+        """The report of the k-th q alone: what ``cmd_verify`` gives for it."""
+        return RunReport(replace(self.config, qs=self.config.qs[k:k + 1]), self.identity,
+                         self.certificates[k:k + 1], self.rows_per_q[k:k + 1],
+                         self.classical, self.m4_estimate)
 
 
-def validate_config(config: RunConfig) -> None:
+def validate_config(config: RunConfig) -> PhiInterval:
+    """Check ``config`` and return its segment; raises ConfigError."""
     if not config.expression.strip():
         raise ConfigError("expression must be nonempty")
-    if not (math.isfinite(config.a) and math.isfinite(config.b)):
-        raise ConfigError("interval endpoints must be finite")
-    if not config.a < config.b:
-        raise ConfigError(f"need a < b, got a={config.a}, b={config.b}")
-    if not 0.0 <= config.phi <= HALF_PI:
-        raise ConfigError(f"phi must lie in [0, pi/2], got {config.phi}")
+    try:
+        iv = PhiInterval(config.a, config.b, config.phi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not config.qs:
         raise ConfigError("q list must be nonempty")
     for q in config.qs:
         if not (math.isfinite(q) and q >= 1.0):
             raise ConfigError(f"every q must be finite and >= 1, got {q}")
-    if not config.oracle_tol > 0.0:
-        raise ConfigError(f"oracle tolerance must be positive, got {config.oracle_tol}")
-    if not config.identity_tol > 0.0:
-        raise ConfigError(f"identity tolerance must be positive, got {config.identity_tol}")
+    for name, tol in (("oracle", config.oracle_tol), ("identity", config.identity_tol)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"{name} tolerance must be finite and positive, got {tol}")
     if config.certificate_samples < 3:
         raise ConfigError(f"certificate samples must be >= 3, got {config.certificate_samples}")
-    if config.fmt not in FORMATS:
-        raise ConfigError(f"unknown output format {config.fmt!r}")
+    return iv
 
 
 def cmd_verify(config: RunConfig) -> RunReport:
     """Run the full pipeline for one configuration.
 
     parse -> identity residual -> certificate per q -> every applicable
-    bound -> classical bound (phi = 0 only) -> verdict.
+    bound -> classical bound (phi = 0 only).  A residual or a bound that is
+    not finite raises OverflowError, so no report carries inf or nan.
     """
-    validate_config(config)
+    iv = validate_config(config)
     f = parse(config.expression)
-    iv = PhiInterval(config.a, config.b, config.phi)
 
     identity = identity_residual(f, iv, tol=config.oracle_tol)
-    identity_ok = identity.residual <= config.identity_tol
+    if not math.isfinite(identity.residual):
+        raise OverflowError(f"identity residual is {identity.residual}")
     actual = abs(identity.lhs)
 
     certificates = tuple(
         certify_phi_convexity(f, iv, q, samples=config.certificate_samples)
         for q in config.qs
     )
+    rows_per_q = tuple(_theorem_rows(f, iv, cert, actual) for cert in certificates)
 
-    rows: list[BoundReport] = []
-    for cert in certificates:
-        inputs = BoundInputs.from_function(f, iv, cert.q)
-        rows.append(make_bound_report("T31", cert.q, bound_t31(inputs), actual, cert.status))
-        if cert.q > 1.0:
-            rows.append(make_bound_report("T32", cert.q, bound_t32(inputs), actual, cert.status))
-            rows.append(make_bound_report("T33", cert.q, bound_t33(inputs), actual, cert.status))
-        rows.append(make_bound_report("T34", cert.q, bound_t34(inputs), actual, cert.status))
-
-    classical = None
-    m4 = None
+    classical = m4 = None
     if config.phi == 0.0:
         m4 = estimate_m4(f, iv, M4_SAMPLES)
         classical = make_bound_report("CLASSICAL", None, classical_bound(m4, iv.length),
                                       actual, SKIPPED)
+    report = RunReport(config, identity, certificates, rows_per_q, classical, m4)
+    for row in report.all_rows():
+        if not math.isfinite(row.bound):
+            raise OverflowError(f"{row.theorem} bound is {row.bound}")
+    return report
 
-    all_rows = rows + ([classical] if classical is not None else [])
-    verdict = (VERDICT_ALL_DOMINANT if all(r.dominant for r in all_rows)
-               else VERDICT_VIOLATIONS)
-    return RunReport(config, identity, identity_ok, certificates, tuple(rows),
-                     classical, m4, verdict)
+
+def _theorem_rows(f: Expr, iv: PhiInterval, cert: ConvexityCertificate,
+                  actual: float) -> tuple[BoundReport, ...]:
+    """T31 to T34 for one certificate; T32 and T33 need q > 1."""
+    inputs = BoundInputs.from_function(f, iv, cert.q)
+    theorems = (("T31", bound_t31), ("T32", bound_t32), ("T33", bound_t33), ("T34", bound_t34))
+    return tuple(make_bound_report(name, cert.q, bound(inputs), actual, cert.status)
+                 for name, bound in theorems if cert.q > 1.0 or name in ("T31", "T34"))
 
 
 @dataclass(frozen=True)
@@ -210,8 +221,6 @@ class SweepConfig:
     oracle_tol: float = DEFAULT_TOL
     identity_tol: float = DEFAULT_IDENTITY_TOL
     certificate_samples: int = DEFAULT_CERT_SAMPLES
-    fmt: str = "table"
-    output: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -242,7 +251,12 @@ class SweepReport:
 
 
 def cmd_sweep(config: SweepConfig) -> SweepReport:
-    """Cartesian-product verify runs; failing cells are recorded, not fatal."""
+    """One cell per (f, a, b, phi, q); failing cells are recorded, not fatal.
+
+    Each (f, a, b, phi) segment is verified once for the whole q list and
+    its report sliced into one cell per q.  When that run fails, the
+    segment's cells are run one by one, so each keeps its own error.
+    """
     for name, values in (("expression", config.expressions), ("a", config.a_values),
                          ("b", config.b_values), ("phi", config.phi_values),
                          ("q", config.q_values)):
@@ -250,22 +264,33 @@ def cmd_sweep(config: SweepConfig) -> SweepReport:
             raise ConfigError(f"{name} list must be nonempty")
 
     cells: list[SweepCell] = []
-    for expression, a, b, phi, q in product(config.expressions, config.a_values,
-                                            config.b_values, config.phi_values,
-                                            config.q_values):
-        cell_config = RunConfig(
-            expression=expression, a=a, b=b, phi=phi, qs=(q,),
-            oracle_tol=config.oracle_tol, identity_tol=config.identity_tol,
-            certificate_samples=config.certificate_samples,
-            fmt=config.fmt, output=None,
-        )
-        try:
-            cells.append(SweepCell(cell_config, cmd_verify(cell_config), None))
-        except (ConfigError, ParseError, EvalDomainError, QuadratureError, ValueError) as exc:
-            cells.append(SweepCell(cell_config, None, str(exc)))
-        except OverflowError as exc:
-            cells.append(SweepCell(cell_config, None, f"{OVERFLOW} {exc}"))
+    for expression, a, b, phi in product(config.expressions, config.a_values,
+                                         config.b_values, config.phi_values):
+        segment = RunConfig(expression, a, b, phi, config.q_values, config.oracle_tol,
+                            config.identity_tol, config.certificate_samples)
+        report, error = _attempt(segment)
+        if report is not None:
+            cells.extend(SweepCell(cell.config, cell, None)
+                         for cell in map(report.cell, range(len(segment.qs))))
+        elif len(segment.qs) == 1:
+            cells.append(SweepCell(segment, None, error))
+        else:
+            for q in segment.qs:
+                cell_config = replace(segment, qs=(q,))
+                cells.append(SweepCell(cell_config, *_attempt(cell_config)))
     return SweepReport(tuple(cells), _summarize(cells))
+
+
+def _attempt(config: RunConfig) -> tuple[Optional[RunReport], Optional[str]]:
+    """``cmd_verify``'s report, or the text of the error it raised."""
+    try:
+        return cmd_verify(config), None
+    except (ConfigError, ParseError, *MATH_ERRORS) as exc:
+        return None, _error_text(exc)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{OVERFLOW} {exc}" if isinstance(exc, OverflowError) else str(exc)
 
 
 def _summarize(cells: Sequence[SweepCell]) -> SweepSummary:
@@ -292,20 +317,13 @@ def _summarize(cells: Sequence[SweepCell]) -> SweepSummary:
 
 def emit_report(report, fmt: str, path: Optional[str] = None) -> None:
     """Write the rendered report to ``path`` or standard output (UTF-8)."""
-    if isinstance(report, SweepReport):
-        if fmt == "json":
-            text = render_json(sweep_json_doc(report))
-        elif fmt == "csv":
-            text = render_csv_sweep(report)
-        else:
-            text = render_table_sweep(report)
+    sweep = isinstance(report, SweepReport)
+    if fmt == "json":
+        text = render_json(sweep_json_doc(report) if sweep else verify_json_doc(report))
+    elif fmt == "csv":
+        text = (render_csv_sweep if sweep else render_csv_verify)(report)
     else:
-        if fmt == "json":
-            text = render_json(verify_json_doc(report))
-        elif fmt == "csv":
-            text = render_csv_verify(report)
-        else:
-            text = render_table_verify(report)
+        text = (render_table_sweep if sweep else render_table_verify)(report)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -328,21 +346,15 @@ def parse_phi(token: str) -> float:
         ) from None
 
 
-def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
+def _parse_float_list(text: str, name: str,
+                      convert: Callable[[str], float] = float) -> tuple[float, ...]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ConfigError(f"{name} list must be nonempty")
     try:
-        return tuple(float(piece) for piece in items)
+        return tuple(convert(piece) for piece in items)
     except ValueError as exc:
         raise ConfigError(f"invalid {name} list {text!r}: {exc}") from None
-
-
-def _parse_phi_list(text: str) -> tuple[float, ...]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ConfigError("phi list must be nonempty")
-    return tuple(parse_phi(piece) for piece in items)
 
 
 def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
@@ -399,8 +411,6 @@ def _verify_config(args: argparse.Namespace) -> RunConfig:
         oracle_tol=args.tol,
         identity_tol=args.identity_tol,
         certificate_samples=args.samples,
-        fmt=args.fmt,
-        output=args.output,
     )
 
 
@@ -409,31 +419,30 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         expressions=tuple(args.expressions),
         a_values=_parse_float_list(args.a, "a"),
         b_values=_parse_float_list(args.b, "b"),
-        phi_values=_parse_phi_list(args.phi),
+        phi_values=_parse_float_list(args.phi, "phi", parse_phi),
         q_values=_parse_float_list(args.q, "q"),
         oracle_tol=args.tol,
         identity_tol=args.identity_tol,
         certificate_samples=args.samples,
-        fmt=args.fmt,
-        output=args.output,
     )
 
 
 # Options whose value may be a negative number or a list starting with one.
-NUMERIC_OPTIONS = ("--a", "--b", "--q")
+NUMERIC_OPTIONS = ("--a", "--b", "--phi", "--q")
 _NEGATIVE_VALUE = r"-[\d.]"
 
 
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:
-    """Write ``--a -1e-300`` as ``--a=-1e-300``.
+    """Write ``--a -1e-300`` as ``--a=-1e-300`` and ``--f -x`` as ``--f=-x``.
 
     argparse takes a separate argument that starts with ``-`` for an option
     unless it looks like a plain negative number, which rules out scientific
-    notation and comma lists.
+    notation, comma lists and expressions such as ``-x^2``.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in NUMERIC_OPTIONS and re.match(_NEGATIVE_VALUE, arg):
+        if out and (out[-1] == "--f" or out[-1] in NUMERIC_OPTIONS
+                    and re.match(_NEGATIVE_VALUE, arg)):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -445,28 +454,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
-            config = _verify_config(args)
-            report = cmd_verify(config)
-            fmt, output, passed = config.fmt, config.output, report.passed
+            report = cmd_verify(_verify_config(args))
         else:
-            sweep_config = _sweep_config(args)
-            report = cmd_sweep(sweep_config)
-            fmt, output, passed = sweep_config.fmt, sweep_config.output, report.passed
+            report = cmd_sweep(_sweep_config(args))
     except (ConfigError, ParseError) as exc:
         print(f"simpbound: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EvalDomainError, QuadratureError, ValueError) as exc:
-        print(f"simpbound: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except OverflowError as exc:
-        print(f"simpbound: {OVERFLOW} {exc}", file=sys.stderr)
+    except MATH_ERRORS as exc:
+        print(f"simpbound: {_error_text(exc)}", file=sys.stderr)
         return EXIT_MATH
     try:
-        emit_report(report, fmt, output)
+        emit_report(report, args.fmt, args.output)
     except OSError as exc:
         print(f"simpbound: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK if passed else EXIT_VIOLATION
+    return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def run() -> None:

@@ -419,49 +419,64 @@ def _int_power(base: complex, n: int) -> complex:
 # Differentiation
 
 def differentiate(e: Expr) -> Expr:
-    """Symbolic derivative with respect to ``x``; total on the node set."""
+    """Symbolic derivative with respect to ``x``; total on the node set.
+
+    Each distinct node object is differentiated once per call and its
+    derivative reused wherever ``e`` refers to it again, so derivatives of
+    derivatives share subtrees and cost their distinct objects, not their
+    size as trees.
+    """
+    return _derivative(e, {})
+
+
+def _derivative(e: Expr, done: dict[int, Expr]) -> Expr:
+    """``done`` maps id(node) to its derivative; the tree keeps the ids alive."""
+    if id(e) in done:
+        return done[id(e)]
     kind = type(e)
     if kind is Const:
-        return _ZERO
-    if kind is Var:
-        return _ONE
-    if kind is Unary:
-        u, du = e.arg, differentiate(e.arg)
+        out = _ZERO
+    elif kind is Var:
+        out = _ONE
+    elif kind is Unary:
+        u, du = e.arg, _derivative(e.arg, done)
         if e.op == "neg":
-            return Unary("neg", du)
-        if e.op == "exp":
-            return Binary("*", e, du)
-        if e.op == "log":
-            return Binary("/", du, u)
-        if e.op == "sin":
-            return Binary("*", Unary("cos", u), du)
-        if e.op == "cos":
-            return Unary("neg", Binary("*", Unary("sin", u), du))
-        if e.op == "sqrt":
-            return Binary("/", du, Binary("*", Const(complex(2.0)), e))
-        raise AssertionError(f"unhandled unary op {e.op!r}")
-    dl, dr = differentiate(e.left), differentiate(e.right)
-    if e.op == "+":
-        return Binary("+", dl, dr)
-    if e.op == "-":
-        return Binary("-", dl, dr)
-    if e.op == "*":
-        return Binary("+", Binary("*", dl, e.right), Binary("*", e.left, dr))
-    if e.op == "/":
-        numerator = Binary("-", Binary("*", dl, e.right), Binary("*", e.left, dr))
-        return Binary("/", numerator, Binary("*", e.right, e.right))
-    if e.op == "^":
-        if type(e.right) is Const:
+            out = Unary("neg", du)
+        elif e.op == "exp":
+            out = Binary("*", e, du)
+        elif e.op == "log":
+            out = Binary("/", du, u)
+        elif e.op == "sin":
+            out = Binary("*", Unary("cos", u), du)
+        elif e.op == "cos":
+            out = Unary("neg", Binary("*", Unary("sin", u), du))
+        elif e.op == "sqrt":
+            out = Binary("/", du, Binary("*", Const(complex(2.0)), e))
+        else:
+            raise AssertionError(f"unhandled unary op {e.op!r}")
+    else:
+        dl, dr = _derivative(e.left, done), _derivative(e.right, done)
+        if e.op == "+":
+            out = Binary("+", dl, dr)
+        elif e.op == "-":
+            out = Binary("-", dl, dr)
+        elif e.op == "*":
+            out = Binary("+", Binary("*", dl, e.right), Binary("*", e.left, dr))
+        elif e.op == "/":
+            numerator = Binary("-", Binary("*", dl, e.right), Binary("*", e.left, dr))
+            out = Binary("/", numerator, Binary("*", e.right, e.right))
+        elif e.op == "^" and type(e.right) is Const:
             c = e.right.value
-            if c == 0:
-                return _ZERO
-            lowered = Binary("^", e.left, Const(c - 1))
-            return Binary("*", Binary("*", e.right, lowered), dl)
-        # d(u^v) = u^v * (v' log u + v u' / u)
-        term = Binary("+", Binary("*", dr, Unary("log", e.left)),
-                      Binary("/", Binary("*", e.right, dl), e.left))
-        return Binary("*", e, term)
-    raise AssertionError(f"unhandled binary op {e.op!r}")
+            out = _ZERO if c == 0 else Binary(
+                "*", Binary("*", e.right, Binary("^", e.left, Const(c - 1))), dl)
+        elif e.op == "^":
+            # d(u^v) = u^v * (v' log u + v u' / u)
+            out = Binary("*", e, Binary("+", Binary("*", dr, Unary("log", e.left)),
+                                        Binary("/", Binary("*", e.right, dl), e.left)))
+        else:
+            raise AssertionError(f"unhandled binary op {e.op!r}")
+    done[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def _csv_rows(report) -> list[list[str]]:
     cfg = report.config
     prefix = [cfg.expression, float17(cfg.a), float17(cfg.b), float17(cfg.phi)]
     rows = []
-    for row in _all_bound_rows(report):
+    for row in report.all_rows():
         rows.append(prefix + [
             row.theorem,
             "" if row.q is None else float17(row.q),
@@ -190,13 +190,6 @@ def _csv_rows(report) -> list[list[str]]:
             "true" if row.dominant else "false",
             row.certificate_status,
         ])
-    return rows
-
-
-def _all_bound_rows(report):
-    rows = list(report.bounds)
-    if report.classical is not None:
-        rows.append(report.classical)
     return rows
 
 
@@ -235,7 +228,7 @@ def _table(rows: list[list[str]]) -> list[str]:
 
 def _bound_table_lines(report) -> list[str]:
     rows = [["theorem", "q", "bound", "actual", "slack", "dominant", "certificate"]]
-    for row in _all_bound_rows(report):
+    for row in report.all_rows():
         rows.append([
             row.theorem,
             "-" if row.q is None else f"{row.q:g}",
@@ -278,39 +271,19 @@ def render_table_verify(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell_status(cell) -> str:
-    if cell.report is None:
-        return "error"
-    report = cell.report
-    if not report.identity_ok:
-        return "identity-fail"
-    if any(r.certificate_status == "verified" and not r.dominant for r in report.bounds):
-        return "bound-violation"
-    return "ok"
-
-
 def render_table_sweep(sweep) -> str:
     rows = [["expression", "a", "b", "phi", "q", "residual", "certificate", "min slack", "status"]]
     for cell in sweep.cells:
-        cfg = cell.config
-        if cell.report is None:
-            rows.append([cfg.expression, f"{cfg.a:g}", f"{cfg.b:g}", f"{cfg.phi:.6g}",
-                         f"{cfg.qs[0]:g}" if cfg.qs else "-", "-", "-", "-", "error"])
+        cfg, report = cell.config, cell.report
+        key = [cfg.expression, f"{cfg.a:g}", f"{cfg.b:g}", f"{cfg.phi:.6g}", f"{cfg.qs[0]:g}"]
+        if report is None:
+            rows.append(key + ["-", "-", "-", "error"])
             continue
-        report = cell.report
-        cert = report.certificates[0]
-        slack = min(r.slack for r in _all_bound_rows(report))
-        rows.append([
-            cfg.expression,
-            f"{cfg.a:g}",
-            f"{cfg.b:g}",
-            f"{cfg.phi:.6g}",
-            f"{cert.q:g}",
-            f"{report.identity.residual:.3e}",
-            cert.status,
-            f"{slack:.6e}",
-            _cell_status(cell),
-        ])
+        slack = min(r.slack for r in report.all_rows())
+        status = ("ok" if report.passed
+                  else "bound-violation" if report.identity_ok else "identity-fail")
+        rows.append(key + [f"{report.identity.residual:.3e}", report.certificates[0].status,
+                           f"{slack:.6e}", status])
     lines = _table(rows)
     summary = sweep.summary
     lines.append("")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from simpbound import cli
 from simpbound.cli import (
     ConfigError,
     RunConfig,
@@ -80,6 +81,39 @@ class TestExitCodes:
         assert code == 3
         assert "numerical overflow" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--f", "exp(x)", "--a", "0", "--b", "700"], "CLASSICAL bound is inf"),
+        (["--f", "1e308*x", "--a", "0", "--b", "1.7"], "identity residual is inf"),
+    ], ids=["bound", "residual"])
+    def test_a_non_finite_result_is_an_overflow_not_a_report(self, capsys, argv, message):
+        # e^700 * 700^4 / 2880 and 4 f(mid) = 3.4e308 overflow without raising
+        code, out, err = _run(capsys, ["verify", *argv, "--q", "1", "--samples", "11",
+                                       "--format", "json"])
+        assert (code, out) == (3, "")
+        assert err == f"simpbound: numerical overflow: {message}\n"
+
+    def test_a_wide_product_verifies_at_phi_zero(self, capsys):
+        # estimate_m4 takes the fourth derivative of all 64 factors
+        code, _, err = _run(capsys, ["verify", "--f", "*".join(["x"] * 64), "--a", "0.5",
+                                     "--b", "1", "--phi", "0", "--q", "1"])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--identity-tol"])
+    def test_non_finite_tolerance_is_a_config_error(self, capsys, flag):
+        code, _, err = _run(capsys, ["verify", "--f", "x", "--a", "0", "--b", "1",
+                                     flag, "inf"])
+        assert code == 2
+        assert "tolerance must be finite and positive, got inf" in err
+
+    @pytest.mark.parametrize("a,b,phi,message", [
+        ("0", "inf", "0", "interval endpoints must be finite"),
+        ("2", "1", "0", "need a < b, got a=2.0, b=1.0"),
+        ("0", "1", "2.0", "phi must lie in [0, pi/2], got 2.0"),
+    ])
+    def test_segment_errors_keep_their_text(self, capsys, a, b, phi, message):
+        code, _, err = _run(capsys, ["verify", "--f", "x", "--a", a, "--b", b, "--phi", phi])
+        assert (code, err) == (2, f"simpbound: {message}\n")
 
     @pytest.mark.parametrize("text", ["(" * 600 + "x" + ")" * 600, " + ".join(["x"] * 3000)],
                              ids=["parentheses", "long-sum"])
@@ -244,6 +278,15 @@ class TestSweep:
         assert [run["status"] for run in runs] == ["error", "ok"]
         assert runs[0]["error"].startswith("numerical overflow")
 
+    def test_non_finite_bound_is_a_failed_cell(self, capsys):
+        code, out, _ = _run(capsys, ["sweep", "--f", "exp(x)", "--f", "x", "--a", "0",
+                                     "--b", "700", "--q", "1", "--samples", "11",
+                                     "--format", "json"])
+        assert code == 0
+        runs = json.loads(out, parse_constant=_reject)["runs"]
+        assert [run["status"] for run in runs] == ["error", "ok"]
+        assert runs[0]["error"] == "numerical overflow: CLASSICAL bound is inf"
+
     def test_negative_scientific_endpoints(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--f", "x^2", "--a", "-1e-3,-.5", "--b", "1",
                                      "--q", "2", "--samples", "51", "--format", "csv"])
@@ -264,6 +307,56 @@ class TestSweep:
         assert summary.max_residual <= 1e-8
         assert summary.verified_violations == 0
         assert set(summary.min_slack) == {"T31", "T32", "T33", "T34", "CLASSICAL"}
+
+
+def _reject(constant):
+    raise ValueError(f"non-finite constant {constant} in a JSON report")
+
+
+class TestSweepSegments:
+    """A sweep verifies each (f, a, b, phi) segment once for its whole q list."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config.qs)
+            return cmd_verify(config)
+        monkeypatch.setattr(cli, "cmd_verify", counted)
+        return calls
+
+    @staticmethod
+    def _sweep(expressions, b, qs):
+        return cmd_sweep(SweepConfig(expressions=expressions, a_values=(0.0,), b_values=(b,),
+                                     phi_values=(0.0, math.pi / 4), q_values=qs,
+                                     certificate_samples=51))
+
+    def test_one_run_per_segment(self, verify_calls):
+        sweep = self._sweep(("x^2", "sin(x)"), 1.0, (1.0, 2.0, 3.0))
+        assert verify_calls == [(1.0, 2.0, 3.0)] * 4
+        assert [cell.config.qs for cell in sweep.cells] == [(1.0,), (2.0,), (3.0,)] * 4
+
+    def test_cells_equal_separate_runs(self):
+        sweep = self._sweep(("exp(sin(x))", "x^3 - x"), 1.5, (2.0, 1.0, 2.0))
+        assert sweep.summary.errors == 0
+        for cell in sweep.cells:
+            alone = cmd_verify(cell.config)
+            assert render_json(verify_json_doc(cell.report)) == render_json(verify_json_doc(alone))
+            assert render_csv_verify(cell.report) == render_csv_verify(alone)
+
+    def test_a_failing_segment_is_rerun_cell_by_cell(self, verify_calls):
+        # q = 400 overflows |f'(10)|^q; the cells by position, not by q value
+        sweep = self._sweep(("exp(x)",), 10.0, (1.0, 400.0, 1.0))
+        assert verify_calls == [(1.0, 400.0, 1.0), (1.0,), (400.0,), (1.0,)] * 2
+        assert [cell.error is None for cell in sweep.cells] == [True, False, True] * 2
+        assert all(cell.error.startswith("numerical overflow") for cell in sweep.cells
+                   if cell.error is not None)
+
+    def test_a_failing_single_q_segment_runs_once(self, verify_calls):
+        sweep = self._sweep(("log(x)",), 2.0, (2.0,))
+        assert verify_calls == [(2.0,)] * 2
+        assert [cell.error for cell in sweep.cells] == ["log of 0 in 'log(x)'"] * 2
 
 
 class TestDeterminism:

@@ -186,11 +186,45 @@ class TestDifferentiate:
         for z in (complex(0.8, 0.1), complex(1.4, 0.3)):
             assert abs(evaluate(d, z) - _central_difference(e, z)) < 1e-8
 
+    def test_shared_nodes_are_differentiated_once(self):
+        # 64 factors pass the depth limit; re-deriving every reference to a
+        # shared node would take the fourth derivative minutes
+        d4 = parse("*".join(["x"] * 64))
+        for _ in range(4):
+            d4 = differentiate(d4)
+        assert _distinct_objects(d4) < 20_000
+        assert evaluate(d4, 1.0) == 64 * 63 * 62 * 61
+
+    @pytest.mark.parametrize("text", ["exp(sin(0.9*x))/(1+x^2)", "x*x*x*x*x", "x^x + sqrt(x)/x"])
+    def test_sharing_does_not_change_the_tree(self, text):
+        d2 = differentiate(differentiate(parse(text)))  # shares subtrees
+        assert repr(differentiate(d2)) == repr(differentiate(_unshared(d2)))
+
     def test_fifth_derivative_of_quartic_vanishes(self):
         d = parse("x^4")
         for _ in range(5):
             d = differentiate(d)
         assert evaluate(d, 0.37) == 0
+
+
+def _distinct_objects(e) -> int:
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, field) for field in ("arg", "left", "right")
+                         if hasattr(node, field))
+    return len(seen)
+
+
+def _unshared(e):
+    """A copy of the tree in which no node object appears twice."""
+    if isinstance(e, Unary):
+        return Unary(e.op, _unshared(e.arg))
+    if isinstance(e, Binary):
+        return Binary(e.op, _unshared(e.left), _unshared(e.right))
+    return Const(e.value) if isinstance(e, Const) else Var()
 
 
 _constants = st.floats(min_value=0.3, max_value=2.5, allow_nan=False).map(
