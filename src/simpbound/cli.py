@@ -35,7 +35,7 @@ from .convexity import (
     certify_phi_convexity,
 )
 from .domain import PhiInterval
-from .expr import EvalDomainError, Expr, ParseError, parse
+from .expr import EvalDomainError, ParseError, parse
 from .identity import DEFAULT_IDENTITY_TOL, IdentityReport, identity_residual
 from .quad import DEFAULT_TOL, QuadratureError
 from .report import (
@@ -184,11 +184,10 @@ def cmd_verify(config: RunConfig) -> RunReport:
         raise OverflowError(f"identity residual is {identity.residual}")
     actual = abs(identity.lhs)
 
-    certificates = tuple(
-        certify_phi_convexity(f, iv, q, samples=config.certificate_samples)
-        for q in config.qs
-    )
-    rows_per_q = tuple(_theorem_rows(f, iv, cert, actual) for cert in certificates)
+    certificates = certify_phi_convexity(f, iv, config.qs, samples=config.certificate_samples)
+    inputs = BoundInputs.from_function(f, iv)
+    rows_per_q = tuple(_theorem_rows(replace(inputs, q=cert.q), cert, actual)
+                       for cert in certificates)
 
     classical = m4 = None
     if config.phi == 0.0:
@@ -202,10 +201,9 @@ def cmd_verify(config: RunConfig) -> RunReport:
     return report
 
 
-def _theorem_rows(f: Expr, iv: PhiInterval, cert: ConvexityCertificate,
+def _theorem_rows(inputs: BoundInputs, cert: ConvexityCertificate,
                   actual: float) -> tuple[BoundReport, ...]:
-    """T31 to T34 for one certificate; T32 and T33 need q > 1."""
-    inputs = BoundInputs.from_function(f, iv, cert.q)
+    """T31 to T34 for one certificate, from ``inputs`` at its q; T32 and T33 need q > 1."""
     theorems = (("T31", bound_t31), ("T32", bound_t32), ("T33", bound_t33), ("T34", bound_t34))
     return tuple(make_bound_report(name, cert.q, bound(inputs), actual, cert.status)
                  for name, bound in theorems if cert.q > 1.0 or name in ("T31", "T34"))

@@ -4,15 +4,15 @@ This is the hypothesis every closed-form bound consumes:
 
     |f'(a + t e^(i phi) (b-a))|^q  <=  (1-t) |f'(a)|^q + t |f'(b)|^q
 
-with f' taken at the real endpoints a and b.  A certificate is evidence from
-uniform sampling, not a proof; callers decide what to do with a violation.
+with f' taken at the real endpoints a and b; |f'| is sampled once for all q.
+A certificate is sampled evidence, not a proof; callers decide on a violation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .domain import PhiInterval
 from .expr import Expr, Tape, differentiate, evaluate
@@ -44,31 +44,33 @@ class ConvexityCertificate:
     violation_t: Optional[float] = None  # present iff violated
 
 
-def certify_phi_convexity(f: Expr, iv: PhiInterval, q: float,
+def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
                           samples: int = DEFAULT_CERT_SAMPLES,
-                          tol: float = DEFAULT_CERT_TOL) -> ConvexityCertificate:
+                          tol: float = DEFAULT_CERT_TOL) -> tuple[ConvexityCertificate, ...]:
     """Compare |f'(path(t))|^q against the endpoint chord on a uniform grid.
 
-    The grid includes both endpoints; the worst (most negative) margin and
-    its location decide the status: ``violated`` iff the worst margin drops
-    below ``-tol``.
+    One certificate per q of ``qs``, in order.  The grid includes both
+    endpoints; the worst (most negative) margin of a q and its location
+    decide its status: ``violated`` iff that margin drops below ``-tol``.
     """
     if samples < 3:
         raise ValueError(f"need at least 3 samples, got {samples}")
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+    for q in qs:
+        if q < 1.0:
+            raise ValueError(f"q must be >= 1, got {q}")
     fp = Tape(differentiate(f))
-    at_a = abs(evaluate(fp, complex(iv.a))) ** q
-    at_b = abs(evaluate(fp, complex(iv.b))) ** q
-    worst = math.inf
-    worst_t = 0.0
+    deriv_a = abs(evaluate(fp, complex(iv.a)))
+    at_a = [deriv_a ** q for q in qs]
+    deriv_b = abs(evaluate(fp, complex(iv.b)))
+    at_b = [deriv_b ** q for q in qs]
+    worst = [(math.inf, 0.0)] * len(qs)  # (margin, t) per q
     for k in range(samples):
         t = k / (samples - 1)
-        chord = (1.0 - t) * at_a + t * at_b
-        margin = chord - abs(evaluate(fp, iv.path_point(t))) ** q
-        if margin < worst:
-            worst = margin
-            worst_t = t
-    if worst < -tol:
-        return ConvexityCertificate(q, samples, VIOLATED, worst, worst_t)
-    return ConvexityCertificate(q, samples, VERIFIED, worst, None)
+        value = abs(evaluate(fp, iv.path_point(t)))
+        for j, q in enumerate(qs):
+            margin = (1.0 - t) * at_a[j] + t * at_b[j] - value ** q  # chord - value
+            if margin < worst[j][0]:
+                worst[j] = (margin, t)
+    return tuple(ConvexityCertificate(q, samples, VIOLATED, margin, t) if margin < -tol
+                 else ConvexityCertificate(q, samples, VERIFIED, margin, None)
+                 for q, (margin, t) in zip(qs, worst))

@@ -72,7 +72,7 @@ def test_criterion_2_dominance_suite(identity_grid):
                 iv = PhiInterval(a, b, phi)
                 actual = abs(grid[(text, a, b, phi)].lhs)
                 for q in QS:
-                    cert = certify_phi_convexity(f, iv, q)
+                    (cert,) = certify_phi_convexity(f, iv, (q,))
                     if cert.status != "verified":
                         continue
                     verified_cells += 1
@@ -159,7 +159,7 @@ def test_criterion_6_cubic_exactness():
 
 
 def test_criterion_7_violation_detection():
-    cert = certify_phi_convexity(parse("x - x^3/3"), PhiInterval(-1.0, 1.0), q=1.0)
+    (cert,) = certify_phi_convexity(parse("x - x^3/3"), PhiInterval(-1.0, 1.0), (1.0,))
     ok = (cert.status == "violated"
           and cert.violation_t is not None
           and cert.worst_margin <= -0.5)

@@ -359,6 +359,50 @@ class TestSweepSegments:
         assert [cell.error for cell in sweep.cells] == ["log of 0 in 'log(x)'"] * 2
 
 
+class TestOneCertificatePass:
+    """``cmd_verify`` certifies its whole q list in one call."""
+
+    def test_one_certificate_and_one_from_function_call(self, monkeypatch):
+        certify_calls, inputs_calls = [], []
+        certify, from_function = cli.certify_phi_convexity, cli.BoundInputs.from_function
+
+        def counted_certify(f, iv, qs, **kwargs):
+            certify_calls.append(qs)
+            return certify(f, iv, qs, **kwargs)
+
+        def counted_from_function(*args, **kwargs):
+            inputs_calls.append(args)
+            return from_function(*args, **kwargs)
+        monkeypatch.setattr(cli, "certify_phi_convexity", counted_certify)
+        monkeypatch.setattr(cli.BoundInputs, "from_function", counted_from_function)
+        report = cmd_verify(RunConfig("exp(sin(x))", 0.0, 2.0, certificate_samples=51))
+        qs = cli.DEFAULT_Q_LIST
+        assert certify_calls == [qs]
+        assert len(inputs_calls) == 1
+        assert tuple(cert.q for cert in report.certificates) == qs
+        assert tuple(row.q for row in report.bounds if row.theorem == "T34") == qs
+
+    # f' divides by zero at x = 0.7, a certificate point the identity never
+    # evaluates, and |f'(0)|^400 overflows
+    POLE = ["--f", "100*sin(x-0.7)/(x-0.7)", "--a", "0", "--b", "1"]
+
+    @pytest.mark.parametrize("q, message", [("1", "division by zero"),
+                                            ("400", "numerical overflow"),
+                                            ("1,400", "numerical overflow")])
+    def test_first_error_of_the_pass_exits_3(self, capsys, q, message):
+        code, _, err = _run(capsys, ["verify", *self.POLE, "--q", q])
+        assert code == 3
+        assert err.startswith(f"simpbound: {message}")
+
+    def test_sweep_cells_keep_their_own_errors(self):
+        sweep = cmd_sweep(SweepConfig(expressions=(self.POLE[1],), a_values=(0.0,),
+                                      b_values=(1.0,), phi_values=(0.0,),
+                                      q_values=(1.0, 400.0)))
+        first, second = (cell.error for cell in sweep.cells)
+        assert first.startswith("division by zero")
+        assert second.startswith("numerical overflow")
+
+
 class TestDeterminism:
     def test_verify_json_byte_identical(self, capsys):
         argv = ["verify", "--f", "exp(x)", "--a", "0", "--b", "2", "--phi", "pi/4",
