@@ -40,6 +40,7 @@ from .expr import (
     Var,
     differentiate,
     evaluate,
+    evaluate_grid,
     parse,
     to_text,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "differentiate",
     "estimate_m4",
     "evaluate",
+    "evaluate_grid",
     "identity_residual",
     "identity_rhs",
     "integrate_01",

@@ -13,7 +13,7 @@ from math import isfinite
 from typing import Optional
 
 from .domain import PhiInterval
-from .expr import Expr, Tape, differentiate, evaluate
+from .expr import Expr, Tape, differentiate, evaluate, evaluate_grid
 
 __all__ = [
     "BoundInputs",
@@ -168,10 +168,10 @@ def estimate_m4(f: Expr, iv: PhiInterval, samples: int = 101) -> float:
     d4 = f
     for _ in range(4):
         d4 = differentiate(d4)
-    d4 = Tape(d4)
-    best = 0.0
-    for k in range(samples):
-        t = k / (samples - 1)
-        x = iv.a + t * (iv.b - iv.a)
-        best = max(best, abs(evaluate(d4, complex(x))))
+    xs = [iv.a + k / (samples - 1) * (iv.b - iv.a) for k in range(samples)]
+    values, error = evaluate_grid(Tape(d4), xs)
+    # |f''''| overflowing before the failing point raises first, as it would point by point
+    best = max(map(abs, values), default=0.0)
+    if error is not None:
+        raise error
     return best

@@ -26,6 +26,15 @@ one tree at many points builds its tape once.  Building and running the
 tape never recurse, and each instruction does the arithmetic and the
 domain and finiteness checks a recursive walk of the tree would do, in
 the same order, so values and error messages are identical to it.
+
+:func:`evaluate_grid` runs a tape over a whole list of points at once: each
+instruction is one ``map`` over the list, and each slot's list is released
+after its last use, so memory grows with the list's length times the slots
+alive at once; a caller with many points, such as the convexity
+certificate, passes them in fixed chunks.  A failure anywhere sends the
+list back through :func:`evaluate` point by point, so the values, the
+first failing point and its error are exactly the ones evaluating point by
+point would give.
 """
 
 from __future__ import annotations
@@ -35,7 +44,9 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Callable, Union
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
+from typing import Callable, Optional, Sequence, Union
 
 __all__ = [
     "Expr",
@@ -50,6 +61,7 @@ __all__ = [
     "parse",
     "Tape",
     "evaluate",
+    "evaluate_grid",
     "differentiate",
     "to_text",
 ]
@@ -287,7 +299,8 @@ class Tape:
     walk first completes each subterm, so the first instruction that fails
     is the one a recursive walk of the tree would fail at.  Building walks
     the tree with an explicit stack, once per distinct node object, and
-    never recurses.
+    never recurses.  :func:`evaluate` runs the tape at one point and
+    :func:`evaluate_grid` over a list of points, one instruction at a time.
     """
 
     __slots__ = ("slots", "code")
@@ -383,8 +396,92 @@ def evaluate(e: Union[Expr, Tape], z: complex) -> complex:
     return v[-1]  # the root completes last, so it holds the last slot
 
 
+def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[Exception]]:
+    """Evaluate a :class:`Tape` at every point of a list, one instruction at a time.
+
+    Returns the values at the points before the first one at which
+    :func:`evaluate` raises, and the exception it raises there (``None``
+    when every point succeeds).  Values, messages and which error comes
+    first are exactly those of calling :func:`evaluate` point by point.
+
+    Each instruction maps its operation over the whole list.  A power by a
+    constant integer exponent does :func:`_int_power`'s multiplications
+    list by list; any other power calls :func:`_power` per point.  The
+    finiteness check is one ``cmath.isfinite(sum(out))`` per instruction,
+    which is sound because a sum holding inf or nan is never finite.  On an
+    arithmetic or domain error, or a non-finite sum, the list is rerun
+    through :func:`evaluate` point by point, which finds the failing point
+    and its error, or, when only the sum overflowed, returns the same
+    values.  Each slot's list is released after its last use, so memory
+    follows the number of live slots times the length of the list.
+    """
+    n = len(points)
+    slots = tape.slots
+    v: list = [None if c is None else [c] * n for c in slots]
+    v[0] = list(map(complex, points))
+    last_use = {}
+    for i, (_, opcode, a, b, _) in enumerate(tape.code):
+        last_use[a] = i
+        if opcode >= _ADD:
+            last_use[b] = i
+    isfinite = cmath.isfinite
+    try:
+        for i, (slot, opcode, a, b, node) in enumerate(tape.code):
+            if opcode == _MUL:
+                out = list(map(mul, v[a], v[b]))
+            elif opcode == _ADD:
+                out = list(map(add, v[a], v[b]))
+            elif opcode == _SUB:
+                out = list(map(sub, v[a], v[b]))
+            elif opcode == _DIV:
+                out = list(map(truediv, v[a], v[b]))  # a zero divisor raises
+            elif opcode == _NEG:
+                out = list(map(neg, v[a]))
+            elif opcode == _POW:
+                exponent = slots[b]  # None unless the exponent is a constant
+                if (exponent is not None and exponent.imag == 0
+                        and exponent.real.is_integer() and abs(exponent.real) <= _MAX_INT_POWER):
+                    out = _int_power_grid(v[a], int(exponent.real))
+                else:
+                    out = list(map(_power, v[a], v[b], repeat(node)))
+            else:
+                out = list(map(b, v[a]))  # log of 0 raises
+            if opcode != _NEG and not isfinite(sum(out)):
+                break
+            v[slot] = out
+            if last_use[a] == i:
+                v[a] = None
+            if opcode >= _ADD and last_use[b] == i:
+                v[b] = None
+        else:
+            return v[-1], None
+    except (ArithmeticError, ValueError, EvalDomainError):
+        pass
+    # something failed or overflowed at some point: find it point by point
+    return _evaluate_points(tape, points)
+
+
+def _evaluate_points(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[Exception]]:
+    """:func:`evaluate_grid`'s result, computed point by point.
+
+    Besides :class:`EvalDomainError`, :func:`evaluate` lets the ``ValueError``
+    of ``cmath.exp`` at an infinite imaginary part escape from a power.
+    """
+    values = []
+    for z in points:
+        try:
+            values.append(evaluate(tape, z))
+        except (EvalDomainError, ValueError) as exc:
+            return values, exc
+    return values, None
+
+
+# Largest |n| that _power raises by repeated multiplication rather than exp(n log z).
+_MAX_INT_POWER = 4096
+
+
 def _power(base: complex, exponent: complex, node: Expr) -> complex:
-    if exponent.imag == 0 and exponent.real.is_integer() and abs(exponent.real) <= 4096:
+    if exponent.imag == 0 and exponent.real.is_integer() and abs(exponent.real) <= _MAX_INT_POWER:
         n = int(exponent.real)
         if base == 0 and n < 0:
             raise EvalDomainError("zero raised to a negative power", node)
@@ -412,6 +509,20 @@ def _int_power(base: complex, n: int) -> complex:
         n >>= 1
         if n:
             base *= base
+    return result
+
+
+def _int_power_grid(base: list, n: int) -> list:
+    """:func:`_int_power` over a list: the same multiplications in the same order."""
+    if n < 0:
+        return list(map(truediv, repeat(1.0), _int_power_grid(base, -n)))
+    result = [complex(1.0)] * len(base)
+    while n:
+        if n & 1:
+            result = list(map(mul, result, base))
+        n >>= 1
+        if n:
+            base = list(map(mul, base, base))
     return result
 
 

@@ -15,9 +15,10 @@ from simpbound import (
     convexity,
     differentiate,
     evaluate,
+    evaluate_grid,
     parse,
 )
-from simpbound.convexity import DEFAULT_CERT_SAMPLES, DEFAULT_CERT_TOL
+from simpbound.convexity import DEFAULT_CERT_SAMPLES, DEFAULT_CERT_TOL, GRID_CHUNK
 
 
 def reference_certify(f, iv, q, samples=DEFAULT_CERT_SAMPLES, tol=DEFAULT_CERT_TOL):
@@ -143,6 +144,12 @@ def _error(exc):
 @example(text="2*exp(x)", iv=PhiInterval(0.0, 2.0), qs=[1.0, 400.0, 1.0], samples=11)
 # |f'| is 0.1875 at t = 0.25 and at t = 0.75: the first of equal margins is the worst
 @example(text="x^3/3 - x^5/5", iv=PhiInterval(-1.0, 1.0), qs=[1.0, 2.0], samples=5)
+# grids longer than a chunk: equal worst margins at t = 37/256 and 219/256 in the
+# first and second chunks, a worst margin that opens the second chunk, and |f'|^q
+# overflowing at t = 0.491 in the chunk whose point t = 0.5 divides by zero
+@example(text="x^3/3 - x^5/5", iv=PhiInterval(-1.0, 1.0), qs=[1.0, 2.0], samples=2 * GRID_CHUNK + 1)
+@example(text="x - x^3/3", iv=PhiInterval(-1.0, 1.0), qs=[1.0], samples=2 * GRID_CHUNK + 1)
+@example(text="1e3*sqrt(x - 0.5)", iv=PhiInterval(0.0, 1.0), qs=[83.3], samples=1001)
 def test_one_pass_matches_reference_per_q(text, iv, qs, samples):
     f = parse(text)
     expected, errors = [], []
@@ -166,13 +173,23 @@ def test_one_pass_matches_reference_per_q(text, iv, qs, samples):
 
 @pytest.fixture
 def evaluated_points(monkeypatch):
-    """The points, in order, at which the certificate evaluates f'."""
+    """The points, in order, at which the certificate evaluates f'.
+
+    Of a grid, the points whose values the certificate gets, then the point
+    that failed, if one did.
+    """
     points = []
 
     def counted(tape, z):
         points.append(z)
         return evaluate(tape, z)
+
+    def counted_grid(tape, zs):
+        values, error = evaluate_grid(tape, zs)
+        points.extend(zs[:len(values) + (error is not None)])
+        return values, error
     monkeypatch.setattr(convexity, "evaluate", counted)
+    monkeypatch.setattr(convexity, "evaluate_grid", counted_grid)
     return points
 
 
@@ -224,6 +241,16 @@ class TestErrorPrecedence:
         with pytest.raises(EvalDomainError, match="^division by zero"):
             certify_phi_convexity(self.F, self.IV, (1.0,))
         assert evaluated_points[-1] == self.IV.path_point(0.5)
+
+    @pytest.mark.parametrize("values, message", [
+        ([1e307 + 0j, complex(1.5e308, 1.5e308), 1.0], "out of range"),
+        ([complex(1.5e308, 1.5e308), 1e307 + 0j, 1.0], "absolute value too large"),
+    ])
+    def test_an_overflowing_modulus_fails_its_own_point(self, monkeypatch, values, message):
+        # (1e307)^1.1 overflows, and so does the modulus of 1.5e308*(1 + i)
+        monkeypatch.setattr(convexity, "evaluate_grid", lambda tape, zs: (values, None))
+        with pytest.raises(OverflowError, match=message):
+            certify_phi_convexity(parse("x"), PhiInterval(0.0, 1.0), (1.1,), samples=3)
 
     def test_a_list_raises_the_first_error_of_the_pass(self):
         # the one-q certificate of the first q would raise the domain error

@@ -1,13 +1,15 @@
-"""The tape against the recursive tree walk it replaced, kept here as the reference."""
+"""The tape against the recursive tree walk it replaced, kept here as the reference,
+and the grid evaluator against the tape run point by point."""
 
 import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simpbound import (Binary, Const, EvalDomainError, Tape, Unary, Var, differentiate, evaluate,
-                       parse)
+                       evaluate_grid, parse)
+from simpbound.convexity import GRID_CHUNK
 from simpbound.expr import _UNARY_FN, _power
 
 
@@ -126,3 +128,65 @@ def test_a_deep_chain_builds_and_runs_without_recursion():
         s = Binary("+", s, Const(complex(float(k))))
     assert evaluate(s, 0.0) == math.fsum(range(3000))
 
+
+def point_by_point(tape, points):
+    """evaluate at each point in turn, up to the first that raises, and its error."""
+    values = []
+    for z in points:
+        try:
+            values.append(evaluate(tape, z))
+        except (EvalDomainError, ValueError) as exc:
+            return values, exc
+    return values, None
+
+
+def grid_outcome(values, error):
+    """Each value's repr, and the error's type and message."""
+    return [repr(v) for v in values], error and (type(error).__name__, str(error))
+
+
+def _line(start, step, n):
+    return [start + k * step for k in range(n)]
+
+
+_steps = st.builds(complex, st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
+# a few chosen points before or after a line long enough to cross the certificate's chunk
+_grids = st.builds(
+    lambda chosen, line, chosen_first: chosen + line if chosen_first else line + chosen,
+    st.lists(_points, max_size=6),
+    st.one_of(st.just([]), st.builds(_line, _points, _steps, st.integers(0, 2 * GRID_CHUNK + 1))),
+    st.booleans())
+_chunk_line = _line(0.0, 1 / 128, 2 * GRID_CHUNK + 1)  # exact multiples of 2^-7 up to 2
+
+
+@given(e=_exprs, grid=_grids)
+@settings(max_examples=150, deadline=None)
+# signed zeros: 1*z can flip the sign of a zero part, so a power starts from 1 as _int_power does
+@example(e=Binary("^", Var(), Const(complex(1.0))),
+         grid=[complex(-0.0, -0.5), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+@example(e=Unary("neg", Binary("*", Var(), Const(complex(-0.0)))), grid=[0j, -1.0, complex(2, -0.0)])
+# powers by constant integers: the order of the multiplications shows in the last bits
+@example(e=Binary("*", Binary("^", Var(), Const(complex(5.0))), Binary("^", Var(), Const(complex(-3.0)))),
+         grid=_line(complex(0.3, 0.7), complex(0.01, -0.02), 10))
+# x^-3 underflows at 1e-120 after two good points
+@example(e=Binary("^", Var(), Const(complex(-3.0))), grid=[1.0, 0.5, 1e-120, 2.0])
+@example(e=parse("log(x)"), grid=[1.0, 2.0, 0.0, 3.0])
+@example(e=Binary("^", Const(0j), Const(complex(-1.0))), grid=[1.0, 2.0])
+@example(e=Binary("^", Var(), Const(complex(-1.0))), grid=[2.0, -4.0, 0.0, 1.0])
+# non-constant exponents: integral at some points, fractional or failing at others
+@example(e=parse("x^x"), grid=_line(0.5, 0.25, 12))
+@example(e=parse("(1 + x)^(x - 1)"), grid=_line(complex(-0.5, 0.25), complex(0.125, -0.0625), 20))
+@example(e=parse("x^(x - 1)"), grid=[2.0, 1.5, 0.0, 3.0])
+# (-2)^(1e308) raises cmath.exp's ValueError, not an EvalDomainError
+@example(e=parse("(0 - 2)^(1e308*x)"), grid=[1e-308, 0.001, 1.0, 2.0])
+# the first failure lies beyond the first chunk
+@example(e=parse("log(x - 1.5)"), grid=_chunk_line)
+@example(e=parse("exp(sin(x))/(1 + x^2)"), grid=_chunk_line)
+# finite values whose sum overflows: no point fails
+@example(e=Binary("+", Var(), Const(0j)), grid=[complex(1e308), complex(1e308), complex(1e308)])
+@example(e=Binary("*", Var(), Var()), grid=[1.0, 1e200, 2.0])
+def test_grid_matches_evaluate_point_by_point_through_the_fourth_derivative(e, grid):
+    for _ in range(5):
+        tape = Tape(e)
+        assert grid_outcome(*evaluate_grid(tape, grid)) == grid_outcome(*point_by_point(tape, grid))
+        e = differentiate(e)
