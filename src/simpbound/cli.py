@@ -72,7 +72,6 @@ EXIT_IO = 4
 FORMATS = ("table", "json", "csv")
 DEFAULT_Q_LIST = (1.0, 1.5, 2.0, 3.0, 5.0)
 THEOREM_ORDER = ("T31", "T32", "T33", "T34", "CLASSICAL")
-M4_SAMPLES = 101
 
 # phi accepts radians as a decimal or one of these exact tokens
 PHI_TOKENS = {
@@ -191,7 +190,7 @@ def cmd_verify(config: RunConfig) -> RunReport:
 
     classical = m4 = None
     if config.phi == 0.0:
-        m4 = estimate_m4(f, iv, M4_SAMPLES)
+        m4 = estimate_m4(f, iv)
         classical = make_bound_report("CLASSICAL", None, classical_bound(m4, iv.length),
                                       actual, SKIPPED)
     report = RunReport(config, identity, certificates, rows_per_q, classical, m4)

@@ -23,18 +23,22 @@ value slot.  Unsimplified derivative trees repeat their subterms many
 times over (the fourth derivative of ``exp(sin(x))/(1+x^2)`` has about
 15 000 nodes but under 240 distinct subterms), so a caller that evaluates
 one tree at many points builds its tape once.  Building and running the
-tape never recurse, and each instruction does the arithmetic and the
-domain and finiteness checks a recursive walk of the tree would do, in
-the same order, so values and error messages are identical to it.
+tape never recurse.  Each instruction carries the one function that does
+its node's arithmetic (an ``operator`` or ``cmath`` function, or
+:func:`_power`), and both ways of running a tape call it: :func:`evaluate`
+at one point and :func:`evaluate_grid` over a list of points.
+Instructions run in the order in which a recursive walk of the tree would
+complete them, so values and error messages are identical to such a walk,
+and every failure is an :class:`EvalDomainError` naming the subterm at
+which it happened.
 
-:func:`evaluate_grid` runs a tape over a whole list of points at once: each
-instruction is one ``map`` over the list, and each slot's list is released
-after its last use, so memory grows with the list's length times the slots
-alive at once; a caller with many points, such as the convexity
-certificate, passes them in fixed chunks.  A failure anywhere sends the
-list back through :func:`evaluate` point by point, so the values, the
-first failing point and its error are exactly the ones evaluating point by
-point would give.
+:func:`evaluate_grid` runs each instruction as one ``map`` over the list,
+and each slot's list is released after its last use, so memory grows with
+the list's length times the slots alive at once; a caller with many
+points, such as the convexity certificate, passes them in fixed chunks.  A
+failure anywhere sends the list back through :func:`evaluate` point by
+point, so the values, the first failing point and its error are exactly
+the ones evaluating point by point would give.
 """
 
 from __future__ import annotations
@@ -283,11 +287,6 @@ def _describe(kind: str, value: str) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-# Tape opcodes; a function call carries the cmath function in its ``b`` field.
-_NEG, _LOG, _CALL, _ADD, _SUB, _MUL, _DIV, _POW = range(8)
-_BINARY_CODES = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV, "^": _POW}
-
-
 class Tape:
     """A tree compiled to a straight-line program over value slots.
 
@@ -299,15 +298,21 @@ class Tape:
     walk first completes each subterm, so the first instruction that fails
     is the one a recursive walk of the tree would fail at.  Building walks
     the tree with an explicit stack, once per distinct node object, and
-    never recurses.  :func:`evaluate` runs the tape at one point and
-    :func:`evaluate_grid` over a list of points, one instruction at a time.
+    never recurses.
+
+    An instruction ``(slot, fn, a, b, node)`` stores ``fn`` applied to
+    slots ``a`` and ``b`` (``b`` is ``None`` for a unary node) in ``slot``;
+    ``fn`` is the ``operator`` or ``cmath`` function of the node, or
+    :func:`_power`, which also takes the node.  :func:`evaluate` calls the
+    same ``fn`` at one point and :func:`evaluate_grid` over a list of
+    points, one instruction at a time.
     """
 
     __slots__ = ("slots", "code")
 
     def __init__(self, e: Expr):
         self.slots: list = [None]  # slot 0 holds x; constants are filled in
-        self.code: list[tuple] = []  # (slot, opcode, a, b, node)
+        self.code: list[tuple] = []  # (slot, fn, a, b, node)
         interned: dict[tuple, int] = {("x",): 0}
         done: dict[int, int] = {}  # id(node) -> slot; the tree keeps ids alive
         stack = [e]
@@ -346,10 +351,9 @@ class Tape:
                 slot = interned[key] = len(self.slots)
                 self.slots.append(node.value if kind is Const else None)
                 if kind is Binary:
-                    self.code.append((slot, _BINARY_CODES[node.op], left, right, node))
+                    self.code.append((slot, _OPS[node.op], left, right, node))
                 elif kind is Unary:
-                    opcode = _NEG if node.op == "neg" else _LOG if node.op == "log" else _CALL
-                    self.code.append((slot, opcode, arg, _UNARY_FN.get(node.op), node))
+                    self.code.append((slot, _OPS[node.op], arg, None, node))
             done[id(node)] = slot
 
 
@@ -357,101 +361,86 @@ def evaluate(e: Union[Expr, Tape], z: complex) -> complex:
     """Evaluate a tree, or its :class:`Tape`, at a complex point.
 
     A tree is compiled to a tape first; callers that evaluate one tree at
-    many points build the tape once.  Raises :class:`EvalDomainError` naming
-    the offending node when a sub-operation is undefined (log of 0, division
-    by zero, overflow, ...).
+    many points build the tape once.  Every failure is an
+    :class:`EvalDomainError` naming the subterm at which a sub-operation was
+    undefined (log of 0, division by zero, overflow, ...): an exception of
+    an instruction's builtin is translated here, and a power raises its own.
     """
     tape = e if type(e) is Tape else Tape(e)
     v = tape.slots.copy()
     v[0] = complex(z)
     isfinite = cmath.isfinite
-    for slot, opcode, a, b, node in tape.code:
-        if opcode == _MUL:
-            out = v[a] * v[b]
-        elif opcode == _ADD:
-            out = v[a] + v[b]
-        elif opcode == _SUB:
-            out = v[a] - v[b]
-        elif opcode == _DIV:
-            right = v[b]
-            if right == 0:
-                raise EvalDomainError("division by zero", node)
-            out = v[a] / right
-        elif opcode == _NEG:
-            v[slot] = -v[a]
-            continue
-        elif opcode == _POW:
-            out = _power(v[a], v[b], node)
-        else:
-            arg = v[a]
-            if opcode == _LOG and arg == 0:
-                raise EvalDomainError("log of 0", node)
-            try:
-                out = b(arg)
-            except (ValueError, OverflowError) as exc:
-                raise EvalDomainError(f"{node.op} undefined at {arg!r}", node) from exc
-        if not isfinite(out):
+    for slot, fn, a, b, node in tape.code:
+        try:
+            if b is None:
+                out = fn(v[a])
+            elif fn is _power:
+                out = _power(v[a], v[b], node)
+            else:
+                out = fn(v[a], v[b])
+        except (ArithmeticError, ValueError) as exc:
+            if fn is truediv:
+                message = "division by zero"
+            elif fn is cmath.log and v[a] == 0:
+                message = "log of 0"
+            else:
+                message = f"{node.op} undefined at {v[a]!r}"
+            raise EvalDomainError(message, node) from exc
+        if not isfinite(out) and fn is not neg:  # negating a finite value keeps it finite
             raise EvalDomainError(f"non-finite value {out!r}", node)
         v[slot] = out
     return v[-1]  # the root completes last, so it holds the last slot
 
 
-def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[Exception]]:
+def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[EvalDomainError]]:
     """Evaluate a :class:`Tape` at every point of a list, one instruction at a time.
 
     Returns the values at the points before the first one at which
-    :func:`evaluate` raises, and the exception it raises there (``None``
-    when every point succeeds).  Values, messages and which error comes
-    first are exactly those of calling :func:`evaluate` point by point.
+    :func:`evaluate` raises, and the :class:`EvalDomainError` it raises
+    there (``None`` when every point succeeds).  Values, messages and which
+    error comes first are exactly those of calling :func:`evaluate` point by
+    point.
 
-    Each instruction maps its operation over the whole list.  A power by a
+    Each instruction maps its ``fn`` over the whole list.  A power by a
     constant integer exponent does :func:`_int_power`'s multiplications
-    list by list; any other power calls :func:`_power` per point.  The
-    finiteness check is one ``cmath.isfinite(sum(out))`` per instruction,
-    which is sound because a sum holding inf or nan is never finite.  On an
-    arithmetic or domain error, or a non-finite sum, the list is rerun
-    through :func:`evaluate` point by point, which finds the failing point
-    and its error, or, when only the sum overflowed, returns the same
-    values.  Each slot's list is released after its last use, so memory
-    follows the number of live slots times the length of the list.
+    list by list instead.  The finiteness check is one
+    ``cmath.isfinite(sum(out))`` per instruction, which is sound because a
+    sum holding inf or nan is never finite.  On an exception, or a
+    non-finite sum, the list is rerun through :func:`evaluate` point by
+    point, which finds the failing point and its error, or, when only the
+    sum overflowed, returns the same values.  Each slot's list is released
+    after its last use, so memory follows the number of live slots times
+    the length of the list.
     """
     n = len(points)
     slots = tape.slots
     v: list = [None if c is None else [c] * n for c in slots]
     v[0] = list(map(complex, points))
     last_use = {}
-    for i, (_, opcode, a, b, _) in enumerate(tape.code):
+    for i, (_, _, a, b, _) in enumerate(tape.code):
         last_use[a] = i
-        if opcode >= _ADD:
+        if b is not None:
             last_use[b] = i
     isfinite = cmath.isfinite
     try:
-        for i, (slot, opcode, a, b, node) in enumerate(tape.code):
-            if opcode == _MUL:
-                out = list(map(mul, v[a], v[b]))
-            elif opcode == _ADD:
-                out = list(map(add, v[a], v[b]))
-            elif opcode == _SUB:
-                out = list(map(sub, v[a], v[b]))
-            elif opcode == _DIV:
-                out = list(map(truediv, v[a], v[b]))  # a zero divisor raises
-            elif opcode == _NEG:
-                out = list(map(neg, v[a]))
-            elif opcode == _POW:
+        for i, (slot, fn, a, b, node) in enumerate(tape.code):
+            if b is None:
+                out = list(map(fn, v[a]))  # log of 0 raises
+            elif fn is _power:
                 exponent = slots[b]  # None unless the exponent is a constant
-                if (exponent is not None and exponent.imag == 0
-                        and exponent.real.is_integer() and abs(exponent.real) <= _MAX_INT_POWER):
-                    out = _int_power_grid(v[a], int(exponent.real))
-                else:
+                k = None if exponent is None else _small_int(exponent)
+                if k is None:
                     out = list(map(_power, v[a], v[b], repeat(node)))
+                else:
+                    out = _int_power_grid(v[a], k)
             else:
-                out = list(map(b, v[a]))  # log of 0 raises
-            if opcode != _NEG and not isfinite(sum(out)):
+                out = list(map(fn, v[a], v[b]))  # a zero divisor raises
+            if fn is not neg and not isfinite(sum(out)):
                 break
             v[slot] = out
             if last_use[a] == i:
                 v[a] = None
-            if opcode >= _ADD and last_use[b] == i:
+            if b is not None and last_use[b] == i:
                 v[b] = None
         else:
             return v[-1], None
@@ -461,17 +450,13 @@ def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional
     return _evaluate_points(tape, points)
 
 
-def _evaluate_points(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[Exception]]:
-    """:func:`evaluate_grid`'s result, computed point by point.
-
-    Besides :class:`EvalDomainError`, :func:`evaluate` lets the ``ValueError``
-    of ``cmath.exp`` at an infinite imaginary part escape from a power.
-    """
+def _evaluate_points(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[EvalDomainError]]:
+    """:func:`evaluate_grid`'s result, computed point by point."""
     values = []
     for z in points:
         try:
             values.append(evaluate(tape, z))
-        except (EvalDomainError, ValueError) as exc:
+        except EvalDomainError as exc:
             return values, exc
     return values, None
 
@@ -480,9 +465,16 @@ def _evaluate_points(tape: Tape, points: Sequence[complex]) -> tuple[list, Optio
 _MAX_INT_POWER = 4096
 
 
-def _power(base: complex, exponent: complex, node: Expr) -> complex:
+def _small_int(exponent: complex) -> Optional[int]:
+    """The exponent as an ``int`` when :func:`_power` multiplies it out, else ``None``."""
     if exponent.imag == 0 and exponent.real.is_integer() and abs(exponent.real) <= _MAX_INT_POWER:
-        n = int(exponent.real)
+        return int(exponent.real)
+    return None
+
+
+def _power(base: complex, exponent: complex, node: Expr) -> complex:
+    n = _small_int(exponent)
+    if n is not None:
         if base == 0 and n < 0:
             raise EvalDomainError("zero raised to a negative power", node)
         try:
@@ -495,7 +487,7 @@ def _power(base: complex, exponent: complex, node: Expr) -> complex:
         raise EvalDomainError(f"zero raised to the power {exponent!r}", node)
     try:
         return cmath.exp(exponent * cmath.log(base))
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
         raise EvalDomainError("overflow in power", node) from exc
 
 
@@ -524,6 +516,11 @@ def _int_power_grid(base: list, n: int) -> list:
         if n:
             base = list(map(mul, base, base))
     return result
+
+
+# The function a Tape instruction calls for each operator; a power also takes its node.
+_OPS: dict[str, Callable] = {
+    "neg": neg, **_UNARY_FN, "+": add, "-": sub, "*": mul, "/": truediv, "^": _power}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .domain import KERNEL_BREAKPOINTS, PhiInterval, kernel
 from .expr import Expr, Tape, differentiate, evaluate
-from .quad import DEFAULT_BUDGET, DEFAULT_TOL, contour_integral, integrate_01
+from .quad import DEFAULT_TOL, contour_integral, integrate_01
 
 __all__ = [
     "IdentityReport",
@@ -50,15 +50,13 @@ def simpson_functional(f: Expr, iv: PhiInterval) -> complex:
     return (fa + 4.0 * fm + fb) / 6.0
 
 
-def path_mean(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL,
-              budget: int = DEFAULT_BUDGET) -> complex:
+def path_mean(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL) -> complex:
     """Contour integral of f divided by the chord."""
-    result = contour_integral(f, iv, tol=tol * abs(iv.chord), budget=budget)
+    result = contour_integral(f, iv, tol=tol * abs(iv.chord))
     return result.value / iv.chord
 
 
-def identity_rhs(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL,
-                 budget: int = DEFAULT_BUDGET) -> complex:
+def identity_rhs(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL) -> complex:
     """chord * integral of kernel(t) * f'(path(t)), split at the kernel kinks."""
     fp = Tape(differentiate(f))
     chord = iv.chord
@@ -66,16 +64,14 @@ def identity_rhs(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL,
         lambda t: kernel(t) * evaluate(fp, iv.path_point(t)),
         tol=tol / abs(chord),
         breakpoints=KERNEL_BREAKPOINTS,
-        budget=budget,
     )
     return chord * inner.value
 
 
-def identity_residual(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL,
-                      budget: int = DEFAULT_BUDGET) -> IdentityReport:
+def identity_residual(f: Expr, iv: PhiInterval, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Evaluate both sides of the equality and their residual."""
     simpson = simpson_functional(f, iv)
-    mean = path_mean(f, iv, tol=tol, budget=budget)
-    rhs = identity_rhs(f, iv, tol=tol, budget=budget)
+    mean = path_mean(f, iv, tol=tol)
+    rhs = identity_rhs(f, iv, tol=tol)
     lhs = simpson - mean
     return IdentityReport(simpson, mean, lhs, rhs, abs(lhs - rhs))

@@ -191,7 +191,6 @@ def contour_integral(
     f: Expr,
     iv: PhiInterval,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> QuadratureResult:
     """Integral of ``f`` along the rotated segment of ``iv``.
 
@@ -204,6 +203,5 @@ def contour_integral(
     inner = integrate_01(
         lambda t: evaluate(tape, iv.path_point(t)),
         tol=tol / scale,
-        budget=budget,
     )
     return QuadratureResult(chord * inner.value, scale * inner.error_estimate, inner.evaluations)

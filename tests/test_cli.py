@@ -93,6 +93,13 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == f"simpbound: numerical overflow: {message}\n"
 
+    def test_an_infinite_power_argument_names_its_subterm(self, capsys):
+        # 1e308*log(-2) has an infinite imaginary part at x = 1, the first Simpson point
+        code, out, err = _run(capsys, ["verify", "--f", "(0-2)^(1e308*x)", "--a", "1",
+                                       "--b", "2", "--q", "1"])
+        assert (code, out) == (3, "")
+        assert err == "simpbound: overflow in power in '(0.0 - 2.0)^(1e+308*x)'\n"
+
     def test_a_wide_product_verifies_at_phi_zero(self, capsys):
         # estimate_m4 takes the fourth derivative of all 64 factors
         code, _, err = _run(capsys, ["verify", "--f", "*".join(["x"] * 64), "--a", "0.5",

@@ -12,9 +12,11 @@ from simpbound import (
     ParseError,
     Unary,
     UnknownIdentifierError,
+    Tape,
     Var,
     differentiate,
     evaluate,
+    evaluate_grid,
     parse,
     to_text,
 )
@@ -141,6 +143,27 @@ class TestEvaluate:
     def test_error_names_offending_node(self):
         with pytest.raises(EvalDomainError, match="log"):
             evaluate(parse("exp(log(x))"), 0)
+
+    @pytest.mark.parametrize("text,good,bad,message", [
+        ("1/(x-1)", 2.0, 1.0, "division by zero in '1.0/(x - 1.0)'"),
+        ("log(x)", 2.0, 0.0, "log of 0 in 'log(x)'"),
+        ("exp(x)", 2.0, 1e9, "exp undefined at (1000000000+0j) in 'exp(x)'"),
+        ("x*x", 2.0, 1e200, "non-finite value (inf+0j) in 'x*x'"),
+        ("x^-2", 2.0, 0.0, "zero raised to a negative power in 'x^-2.0'"),
+        ("x^-3", 2.0, 1e-120, "underflow in negative power in 'x^-3.0'"),
+        ("x^(0-0.5)", 2.0, 0.0, "zero raised to the power (-0.5+0j) in 'x^(0.0 - 0.5)'"),
+        ("x^1.5", 2.0, 1e300, "overflow in power in 'x^1.5'"),
+        # 1e308*log(-2) has an infinite imaginary part, at which cmath.exp raises ValueError
+        ("(0-2)^(1e308*x)", 1e-308, 1.0, "overflow in power in '(0.0 - 2.0)^(1e+308*x)'"),
+    ])
+    def test_every_domain_error_keeps_its_text(self, text, good, bad, message):
+        tape = Tape(parse(text))
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(tape, bad)
+        assert str(info.value) == message
+        values, error = evaluate_grid(tape, [good, bad])
+        assert values == [evaluate(tape, good)]
+        assert type(error) is EvalDomainError and str(error) == message
 
 
 def _central_difference(e, z, h=1e-5):
