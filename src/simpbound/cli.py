@@ -450,6 +450,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        return _run_command(args)
+    except Exception as exc:  # unlisted failures are the tool's own: exit 3, never 1
+        print(f"simpbound: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MATH
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the parsed command, report it and map each listed error to its exit code."""
+    try:
         if args.command == "verify":
             report = cmd_verify(_verify_config(args))
         else:

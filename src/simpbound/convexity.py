@@ -51,16 +51,15 @@ class ConvexityCertificate:
 
 
 def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
-                          samples: int = DEFAULT_CERT_SAMPLES,
-                          tol: float = DEFAULT_CERT_TOL) -> tuple[ConvexityCertificate, ...]:
+                          samples: int = DEFAULT_CERT_SAMPLES) -> tuple[ConvexityCertificate, ...]:
     """Compare |f'(path(t))|^q against the endpoint chord on a uniform grid.
 
     One certificate per q of ``qs``, in order.  The grid includes both
     endpoints; the worst (most negative) margin of a q and its location
-    decide its status: ``violated`` iff that margin drops below ``-tol``.
-    The error raised is the first that a point-by-point pass would meet:
-    the powers at a and b, then per path point its evaluation and its
-    power for each q.
+    decide its status: ``violated`` iff that margin drops below
+    ``-DEFAULT_CERT_TOL``.  The error raised is the first that a
+    point-by-point pass would meet: the powers at a and b, then per path
+    point its evaluation and its power for each q.
     """
     if samples < 3:
         raise ValueError(f"need at least 3 samples, got {samples}")
@@ -81,7 +80,7 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
                 worst[j] = (low, t)
         if error is not None:  # raised after the margins of the points before it
             raise error
-    return tuple(ConvexityCertificate(q, samples, VIOLATED, margin, t) if margin < -tol
+    return tuple(ConvexityCertificate(q, samples, VIOLATED, margin, t) if margin < -DEFAULT_CERT_TOL
                  else ConvexityCertificate(q, samples, VERIFIED, margin, None)
                  for q, (margin, t) in zip(qs, worst))
 

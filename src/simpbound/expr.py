@@ -253,7 +253,10 @@ def parse(text: str) -> Expr:
         kind, value, at = peek()
         if kind == "num":
             advance()
-            return Const(complex(float(value))), 1
+            number = float(value)
+            if math.isinf(number):
+                raise ParseError(f"number out of range: {value!r}", at)
+            return Const(complex(number)), 1
         if kind == "name":
             advance()
             if value == "x":

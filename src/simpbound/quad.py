@@ -2,11 +2,13 @@
 
 Each panel is estimated with the embedded 7-point Gauss / 15-point Kronrod
 pair; the panel with the largest |K15 - G7| discrepancy is bisected until
-the summed error estimate drops below the requested tolerance or the
-evaluation budget runs out.  Caller-supplied breakpoints pre-split the
-interval so kinks and jumps never sit inside a panel (the rule is open, so
-breakpoints themselves are never sampled).  Panels are summed in
-left-to-right order, making results reproducible run to run.
+the summed error estimate drops below the requested tolerance.  Refinement
+gives up, raising :class:`BudgetExceededError` with the sum of every live
+panel, when the evaluation budget runs out or when the panel to bisect has
+no float strictly between its ends (it stalled at floating-point
+resolution, as QUADPACK's QAG stops with ``ier = 3``).  Caller-supplied
+breakpoints pre-split the interval so kinks and jumps never sit inside a
+panel (the rule is open, so breakpoints themselves are never sampled).
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ def integrate_01(
     The interval is pre-split at every breakpoint (all must lie strictly
     inside (0, 1)).  Raises :class:`BudgetExceededError` carrying the best
     estimate when the tolerance cannot be met within ``budget`` integrand
-    evaluations, and :class:`NonFiniteIntegrandError` if ``g`` returns a
-    non-finite value.
+    evaluations or before the worst panel becomes too narrow to bisect, and
+    :class:`NonFiniteIntegrandError` if ``g`` returns a non-finite value.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -144,45 +146,38 @@ def integrate_01(
     evaluations = 0
     tiebreak = count()
     heap: list[tuple[float, int, float, float, complex, float]] = []
-    stalled: list[tuple[float, float, complex, float]] = []
+
+    def add(lo: float, hi: float) -> float:
+        """Estimate the panel [lo, hi], push it and return its error estimate."""
+        nonlocal evaluations
+        value, err = _panel(g, lo, hi)
+        evaluations += 15
+        heapq.heappush(heap, (-err, next(tiebreak), lo, hi, value, err))
+        return err
 
     def assemble() -> QuadratureResult:
-        panels = [(lo, hi, val, err) for (_, _, lo, hi, val, err) in heap]
-        panels.extend(stalled)
-        panels.sort(key=lambda p: p[0])
+        # fsum is correctly rounded, so the heap's order does not change a bit
         value = complex(
-            math.fsum(p[2].real for p in panels),
-            math.fsum(p[2].imag for p in panels),
+            math.fsum(p[4].real for p in heap),
+            math.fsum(p[4].imag for p in heap),
         )
-        return QuadratureResult(value, math.fsum(p[3] for p in panels), evaluations)
+        return QuadratureResult(value, math.fsum(p[5] for p in heap), evaluations)
 
     total_err = 0.0
     for lo, hi in zip(edges, edges[1:]):
         if evaluations + 15 > budget:
             raise BudgetExceededError(assemble(), f"evaluation budget {budget} exhausted")
-        value, err = _panel(g, lo, hi)
-        evaluations += 15
-        heapq.heappush(heap, (-err, next(tiebreak), lo, hi, value, err))
-        total_err += err
+        total_err += add(lo, hi)
 
     while total_err > tol:
-        if not heap:
-            raise BudgetExceededError(assemble(), "refinement stalled at floating-point resolution")
-        _, _, lo, hi, value, err = heap[0]
+        _, _, lo, hi, _, err = heap[0]
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            heapq.heappop(heap)
-            stalled.append((lo, hi, value, err))
-            continue
+            raise BudgetExceededError(assemble(), "refinement stalled at floating-point resolution")
         if evaluations + 30 > budget:
             raise BudgetExceededError(assemble(), f"evaluation budget {budget} exhausted")
         heapq.heappop(heap)
-        left_value, left_err = _panel(g, lo, mid)
-        right_value, right_err = _panel(g, mid, hi)
-        evaluations += 30
-        heapq.heappush(heap, (-left_err, next(tiebreak), lo, mid, left_value, left_err))
-        heapq.heappush(heap, (-right_err, next(tiebreak), mid, hi, right_value, right_err))
-        total_err += left_err + right_err - err
+        total_err += add(lo, mid) + add(mid, hi) - err
 
     return assemble()
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from simpbound import (
     BoundInputs,
+    EvalDomainError,
     PhiInterval,
     bound_t31,
     bound_t32,
@@ -183,6 +184,12 @@ class TestEstimateM4:
     def test_rejects_rotated_segment(self):
         with pytest.raises(ValueError):
             estimate_m4(parse("x^4"), PhiInterval(0.0, 1.0, math.pi / 4), 11)
+
+    def test_reraises_the_error_of_its_grid(self):
+        # f'''' = 6.5625 (x - 0.5)^-0.5 fails at the grid's midpoint
+        with pytest.raises(EvalDomainError) as info:
+            estimate_m4(parse("(x-0.5)^3.5"), PhiInterval(0.0, 1.0))
+        assert str(info.value) == "zero raised to the power (-0.5+0j) in '(x - 0.5)^-0.5'"
 
 
 _magnitudes = st.floats(min_value=0.0, max_value=50.0)

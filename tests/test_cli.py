@@ -113,6 +113,45 @@ class TestExitCodes:
         assert code == 2
         assert "tolerance must be finite and positive, got inf" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--f", "x", "--samples", "2"], "certificate samples must be >= 3, got 2"),
+        (["--f", "x", "--q", "1,abc"],
+         "invalid q list '1,abc': could not convert string to float: 'abc'"),
+        (["--f", "1e999", "--q", "1"], "number out of range: '1e999' (offset 0)"),
+    ], ids=["samples", "q-list", "literal"])
+    def test_option_errors_keep_their_text(self, capsys, argv, message):
+        code, out, err = _run(capsys, ["verify", *argv, "--a", "0", "--b", "1"])
+        assert (code, out, err) == (2, "", f"simpbound: {message}\n")
+
+    def test_an_error_of_the_fourth_derivative_grid_exits_3(self, capsys):
+        code, out, err = _run(capsys, ["verify", "--f", "(x-0.5)^3.5", "--a", "0",
+                                       "--b", "1", "--q", "1"])
+        assert (code, out) == (3, "")
+        assert err == "simpbound: zero raised to the power (-0.5+0j) in '(x - 0.5)^-0.5'\n"
+
+    @pytest.mark.parametrize("text,evaluations", [
+        ("1/(1.0+x^2)", 3165),    # the path integral of f stalls
+        ("1/(1+x^2)^2", 110520),  # the kernel integral of f' stalls
+    ])
+    def test_stalled_refinement_exits_3(self, capsys, text, evaluations):
+        # the segment [0, 2i] passes through the pole at x = i
+        code, out, err = _run(capsys, ["verify", "--f", text, "--a", "0", "--b", "2",
+                                       "--phi", "pi/2", "--q", "2"])
+        assert (code, out) == (3, "")
+        assert err.startswith("simpbound: refinement stalled at floating-point resolution; ")
+        assert err.endswith(f" after {evaluations} evaluations\n")
+
+    @pytest.mark.parametrize("command,name", [("verify", "cmd_verify"), ("sweep", "cmd_sweep")])
+    def test_an_unlisted_exception_exits_3_with_its_type(self, capsys, monkeypatch,
+                                                         command, name):
+        def fail(config):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, name, fail)
+        code, out, err = _run(capsys, [command, "--f", "x", "--a", "0", "--b", "1"])
+        assert (code, out) == (3, "")
+        assert err == "simpbound: RecursionError: maximum recursion depth exceeded\n"
+
     @pytest.mark.parametrize("a,b,phi,message", [
         ("0", "inf", "0", "interval endpoints must be finite"),
         ("2", "1", "0", "need a < b, got a=2.0, b=1.0"),

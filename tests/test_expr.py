@@ -91,6 +91,12 @@ class TestParse:
             with pytest.raises(ParseError, match="nested deeper than 64 levels"):
                 parse(text)
 
+    def test_out_of_range_literal_at_offset_2(self):
+        # float("1e999") is inf, which no constant of a parsed tree may hold
+        with pytest.raises(ParseError, match="number out of range: '1e999'") as info:
+            parse("x+1e999")
+        assert info.value.position == 2
+
     def test_stray_character(self):
         with pytest.raises(ParseError) as info:
             parse("x @ 2")

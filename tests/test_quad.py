@@ -113,3 +113,17 @@ class TestContourIntegral:
         rhs = (alpha * contour_integral(f, iv, tol=tol).value
                + beta * contour_integral(g, iv, tol=tol).value)
         assert abs(lhs - rhs) < 10.0 * tol
+
+    def test_a_panel_too_narrow_to_split_stops_refinement(self):
+        # the segment passes through the pole at x = i, t = 1/2; the panel
+        # around it shrinks to adjacent floats long before the budget runs out
+        iv = PhiInterval(0.0, 2.0, math.pi / 2)
+        with pytest.raises(BudgetExceededError) as info:
+            contour_integral(parse("1/(1.0+x^2)"), iv, tol=2e-11)
+        best = info.value.best
+        assert str(info.value).startswith("refinement stalled at floating-point resolution; ")
+        assert best.evaluations == 3165
+        # the stalled panel stays live and is summed: without it the estimate
+        # would read 0.5674-0.4701j with an error estimate of 0.0426
+        assert best.value == pytest.approx(0.663384969494936 - 1.2026954616606995j, rel=1e-9)
+        assert best.error_estimate == pytest.approx(0.07880972688000684, rel=1e-9)
