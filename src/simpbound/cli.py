@@ -9,6 +9,7 @@ the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -163,6 +164,9 @@ def validate_config(config: RunConfig) -> PhiInterval:
     for name, tol in (("oracle", config.oracle_tol), ("identity", config.identity_tol)):
         if not (math.isfinite(tol) and tol > 0.0):
             raise ConfigError(f"{name} tolerance must be finite and positive, got {tol}")
+    if not config.oracle_tol * iv.length > 0.0:  # the path integral's tolerance scales by it
+        raise ConfigError(f"oracle tolerance {config.oracle_tol} times the segment length "
+                          f"{iv.length} underflows to 0")
     if config.certificate_samples < 3:
         raise ConfigError(f"certificate samples must be >= 3, got {config.certificate_samples}")
     return iv
@@ -446,9 +450,18 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built once per process for :func:`main`.
+
+    A parser is a web of reference cycles, so one built per call lingers
+    until the cyclic garbage collector runs; parsing does not change it.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _run_command(args)
     except Exception as exc:  # unlisted failures are the tool's own: exit 3, never 1

@@ -33,6 +33,8 @@ class PhiInterval:
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"segment length b - a must be finite, got {self.b - self.a}")
         if not 0.0 <= self.phi <= HALF_PI:
             raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
 

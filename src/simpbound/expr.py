@@ -25,8 +25,11 @@ times over (the fourth derivative of ``exp(sin(x))/(1+x^2)`` has about
 one tree at many points builds its tape once.  Building and running the
 tape never recurse.  Each instruction carries the one function that does
 its node's arithmetic (an ``operator`` or ``cmath`` function, or
-:func:`_power`), and both ways of running a tape call it: :func:`evaluate`
-at one point and :func:`evaluate_grid` over a list of points.
+:func:`_power`) and whether its value is checked for finiteness, and both
+ways of running a tape use them: :func:`evaluate` at one point and
+:func:`evaluate_grid` over a list of points.  A power by a constant
+integer from 1 to :data:`_MAX_INT_POWER` is planned at build time as the
+multiplications that :func:`_int_power` would do, one instruction each.
 Instructions run in the order in which a recursive walk of the tree would
 complete them, so values and error messages are identical to such a walk,
 and every failure is an :class:`EvalDomainError` naming the subterm at
@@ -35,10 +38,12 @@ which it happened.
 :func:`evaluate_grid` runs each instruction as one ``map`` over the list,
 and each slot's list is released after its last use, so memory grows with
 the list's length times the slots alive at once; a caller with many
-points, such as the convexity certificate, passes them in fixed chunks.  A
-failure anywhere sends the list back through :func:`evaluate` point by
-point, so the values, the first failing point and its error are exactly
-the ones evaluating point by point would give.
+points, such as the convexity certificate, passes them in fixed chunks.  It
+checks finiteness only where a non-finite value can first become hidden
+(a slot read by a function other than ``+``, ``-``, ``*`` or negation, and
+the root).  A failure anywhere sends the list back through
+:func:`evaluate` point by point, so the values, the first failing point
+and its error are exactly the ones evaluating point by point would give.
 """
 
 from __future__ import annotations
@@ -182,105 +187,114 @@ def parse(text: str) -> Expr:
     nesting deeper than :data:`MAX_DEPTH`, and
     :class:`UnknownIdentifierError` for names outside the grammar.
     """
-    tokens = _tokenize(text)
-    pos = 0
-    level = 0  # parse_unary calls in progress; every recursion passes through one
+    parser = _Parser(_tokenize(text))
+    node, _ = parser.parse_expr()
+    kind, value, at = parser.peek()
+    if kind != "end":
+        raise ParseError(f"syntax error: unexpected {_describe(kind, value)}", at)
+    return node
 
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos]
 
-    def advance() -> tuple[str, str, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+class _Parser:
+    """Recursive descent over a token list.
+
+    Each ``parse_*`` method returns the subtree and its depth; a leaf has
+    depth 1.  (Methods rather than nested functions that call each other,
+    which would leave a reference cycle for the garbage collector per parse.)
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = tokens
+        self.pos = 0
+        self.level = 0  # parse_unary calls in progress; every recursion passes through one
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
         return tok
 
-    def expect(symbol: str) -> None:
-        kind, value, at = peek()
+    def expect(self, symbol: str) -> None:
+        kind, value, at = self.peek()
         if kind != "op" or value != symbol:
             raise ParseError(f"syntax error: expected {symbol!r}, found {_describe(kind, value)}", at)
-        advance()
+        self.advance()
 
+    @staticmethod
     def too_deep(at: int) -> ParseError:
         return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", at)
 
-    def nest(node: Expr, at: int, *child_depths: int) -> tuple[Expr, int]:
+    def nest(self, node: Expr, at: int, *child_depths: int) -> tuple[Expr, int]:
         depth = 1 + max(child_depths)
         if depth > MAX_DEPTH:
-            raise too_deep(at)
+            raise self.too_deep(at)
         return node, depth
 
-    # Each parse_* returns the subtree and its depth; a leaf has depth 1.
-    def parse_expr() -> tuple[Expr, int]:
-        node, depth = parse_term()
-        while peek()[0] == "op" and peek()[1] in "+-":
-            _, op, at = advance()
-            right, right_depth = parse_term()
-            node, depth = nest(Binary(op, node, right), at, depth, right_depth)
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, depth = self.parse_term()
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            _, op, at = self.advance()
+            right, right_depth = self.parse_term()
+            node, depth = self.nest(Binary(op, node, right), at, depth, right_depth)
         return node, depth
 
-    def parse_term() -> tuple[Expr, int]:
-        node, depth = parse_unary()
-        while peek()[0] == "op" and peek()[1] in "*/":
-            _, op, at = advance()
-            right, right_depth = parse_unary()
-            node, depth = nest(Binary(op, node, right), at, depth, right_depth)
+    def parse_term(self) -> tuple[Expr, int]:
+        node, depth = self.parse_unary()
+        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+            _, op, at = self.advance()
+            right, right_depth = self.parse_unary()
+            node, depth = self.nest(Binary(op, node, right), at, depth, right_depth)
         return node, depth
 
-    def parse_unary() -> tuple[Expr, int]:
-        nonlocal level
-        level += 1
+    def parse_unary(self) -> tuple[Expr, int]:
+        self.level += 1
         try:
-            if level > MAX_DEPTH:
-                raise too_deep(peek()[2])
-            if peek()[0] == "op" and peek()[1] == "-":
-                at = advance()[2]
-                arg, depth = parse_unary()
-                return nest(Unary("neg", arg), at, depth)
-            return parse_power()
+            if self.level > MAX_DEPTH:
+                raise self.too_deep(self.peek()[2])
+            if self.peek()[0] == "op" and self.peek()[1] == "-":
+                at = self.advance()[2]
+                arg, depth = self.parse_unary()
+                return self.nest(Unary("neg", arg), at, depth)
+            return self.parse_power()
         finally:
-            level -= 1
+            self.level -= 1
 
-    def parse_power() -> tuple[Expr, int]:
-        base, depth = parse_atom()
-        if peek()[0] == "op" and peek()[1] == "^":
-            at = advance()[2]
-            exponent, exponent_depth = parse_unary()
-            return nest(Binary("^", base, exponent), at, depth, exponent_depth)
+    def parse_power(self) -> tuple[Expr, int]:
+        base, depth = self.parse_atom()
+        if self.peek()[0] == "op" and self.peek()[1] == "^":
+            at = self.advance()[2]
+            exponent, exponent_depth = self.parse_unary()
+            return self.nest(Binary("^", base, exponent), at, depth, exponent_depth)
         return base, depth
 
-    def parse_atom() -> tuple[Expr, int]:
-        kind, value, at = peek()
+    def parse_atom(self) -> tuple[Expr, int]:
+        kind, value, at = self.peek()
         if kind == "num":
-            advance()
+            self.advance()
             number = float(value)
             if math.isinf(number):
                 raise ParseError(f"number out of range: {value!r}", at)
             return Const(complex(number)), 1
         if kind == "name":
-            advance()
+            self.advance()
             if value == "x":
                 return Var(), 1
             if value in _NAMED_CONSTANTS:
                 return Const(complex(_NAMED_CONSTANTS[value])), 1
             if value in _FUNCTIONS:
-                expect("(")
-                arg, depth = parse_expr()
-                expect(")")
-                return nest(Unary(value, arg), at, depth)
+                self.expect("(")
+                arg, depth = self.parse_expr()
+                self.expect(")")
+                return self.nest(Unary(value, arg), at, depth)
             raise UnknownIdentifierError(f"unknown identifier {value!r}", at)
         if kind == "op" and value == "(":
-            advance()
-            node = parse_expr()
-            expect(")")
+            self.advance()
+            node = self.parse_expr()
+            self.expect(")")
             return node
         raise ParseError(f"syntax error: unexpected {_describe(kind, value)}", at)
-
-    node, _ = parse_expr()
-    kind, value, at = peek()
-    if kind != "end":
-        raise ParseError(f"syntax error: unexpected {_describe(kind, value)}", at)
-    return node
 
 
 def _describe(kind: str, value: str) -> str:
@@ -303,19 +317,34 @@ class Tape:
     the tree with an explicit stack, once per distinct node object, and
     never recurses.
 
-    An instruction ``(slot, fn, a, b, node)`` stores ``fn`` applied to
-    slots ``a`` and ``b`` (``b`` is ``None`` for a unary node) in ``slot``;
-    ``fn`` is the ``operator`` or ``cmath`` function of the node, or
-    :func:`_power`, which also takes the node.  :func:`evaluate` calls the
-    same ``fn`` at one point and :func:`evaluate_grid` over a list of
-    points, one instruction at a time.
+    An instruction ``(slot, fn, a, b, node, checked)`` stores ``fn``
+    applied to slots ``a`` and ``b`` (``b`` is ``None`` for a unary node) in
+    ``slot``; ``fn`` is the ``operator`` or ``cmath`` function of the node,
+    or :func:`_power`, which also takes the node.  :func:`evaluate` calls
+    the same ``fn`` at one point and :func:`evaluate_grid` over a list of
+    points, one instruction at a time.  ``checked`` says whether
+    :func:`evaluate` raises when the value is not finite: it is off for a
+    negation, which keeps a finite value finite.
+
+    A power by a constant integer ``1 <= k <=`` :data:`_MAX_INT_POWER` is
+    emitted as :func:`_int_power`'s own square-and-multiply sequence of
+    ``mul`` instructions, in its order (``result * base``, then
+    ``base * base``), starting from the interned constant 1.0.  Only the
+    last one is checked and stores the power's slot; the intermediate ones
+    store fresh, uninterned slots, so values and error messages are those
+    of :func:`_power`.  Any other power calls :func:`_power`.
+
+    ``last_use`` maps each slot read by an instruction to the index of the
+    last instruction that reads it, and ``watched`` holds the slots whose
+    finiteness :func:`evaluate_grid` checks: the root's, and every slot
+    read by an instruction other than ``add``, ``sub``, ``mul`` or ``neg``.
     """
 
-    __slots__ = ("slots", "code")
+    __slots__ = ("slots", "code", "last_use", "watched")
 
     def __init__(self, e: Expr):
         self.slots: list = [None]  # slot 0 holds x; constants are filled in
-        self.code: list[tuple] = []  # (slot, fn, a, b, node)
+        self.code: list[tuple] = []  # (slot, fn, a, b, node, checked)
         interned: dict[tuple, int] = {("x",): 0}
         done: dict[int, int] = {}  # id(node) -> slot; the tree keeps ids alive
         stack = [e]
@@ -351,13 +380,44 @@ class Tape:
             stack.pop()
             slot = interned.get(key)
             if slot is None:
-                slot = interned[key] = len(self.slots)
-                self.slots.append(node.value if kind is Const else None)
                 if kind is Binary:
-                    self.code.append((slot, _OPS[node.op], left, right, node))
+                    fn = _OPS[node.op]
+                    exponent = self.slots[right] if fn is _power else None  # None unless constant
+                    k = None if exponent is None else _small_int(exponent)
+                    if k is not None and k >= 1:
+                        # _int_power's multiplications, from an interned 1.0 slot; the
+                        # last product is the power's own instruction
+                        if _ONE_KEY not in interned:
+                            interned[_ONE_KEY] = len(self.slots)
+                            self.slots.append(complex(1.0))
+                        fn, left, right = mul, interned[_ONE_KEY], left
+                        while k > 1:
+                            if k & 1:
+                                left = self._emit(mul, left, right, node, False)
+                            right = self._emit(mul, right, right, node, False)
+                            k >>= 1
+                    slot = self._emit(fn, left, right, node, True)
                 elif kind is Unary:
-                    self.code.append((slot, _OPS[node.op], arg, None, node))
+                    slot = self._emit(_OPS[node.op], arg, None, node, node.op != "neg")
+                else:  # a constant; x is interned from the start
+                    slot = len(self.slots)
+                    self.slots.append(node.value)
+                interned[key] = slot
             done[id(node)] = slot
+        self.last_use: dict[int, int] = {}  # slot -> index of the last instruction reading it
+        self.watched = {len(self.slots) - 1}  # the root's slot
+        for i, (_, fn, a, b, _, _) in enumerate(self.code):
+            for read in (a,) if b is None else (a, b):
+                self.last_use[read] = i
+                if fn not in _PROPAGATING:
+                    self.watched.add(read)
+
+    def _emit(self, fn: Callable, a: int, b: Optional[int], node: Expr, checked: bool) -> int:
+        """Append an instruction storing in a fresh slot, and return that slot."""
+        slot = len(self.slots)
+        self.slots.append(None)
+        self.code.append((slot, fn, a, b, node, checked))
+        return slot
 
 
 def evaluate(e: Union[Expr, Tape], z: complex) -> complex:
@@ -373,7 +433,7 @@ def evaluate(e: Union[Expr, Tape], z: complex) -> complex:
     v = tape.slots.copy()
     v[0] = complex(z)
     isfinite = cmath.isfinite
-    for slot, fn, a, b, node in tape.code:
+    for slot, fn, a, b, node, checked in tape.code:
         try:
             if b is None:
                 out = fn(v[a])
@@ -389,7 +449,7 @@ def evaluate(e: Union[Expr, Tape], z: complex) -> complex:
             else:
                 message = f"{node.op} undefined at {v[a]!r}"
             raise EvalDomainError(message, node) from exc
-        if not isfinite(out) and fn is not neg:  # negating a finite value keeps it finite
+        if checked and not isfinite(out):
             raise EvalDomainError(f"non-finite value {out!r}", node)
         v[slot] = out
     return v[-1]  # the root completes last, so it holds the last slot
@@ -404,41 +464,35 @@ def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional
     error comes first are exactly those of calling :func:`evaluate` point by
     point.
 
-    Each instruction maps its ``fn`` over the whole list.  A power by a
-    constant integer exponent does :func:`_int_power`'s multiplications
-    list by list instead.  The finiteness check is one
-    ``cmath.isfinite(sum(out))`` per instruction, which is sound because a
-    sum holding inf or nan is never finite.  On an exception, or a
-    non-finite sum, the list is rerun through :func:`evaluate` point by
-    point, which finds the failing point and its error, or, when only the
-    sum overflowed, returns the same values.  Each slot's list is released
-    after its last use, so memory follows the number of live slots times
-    the length of the list.
+    Each instruction maps its ``fn`` over the whole list.  The finiteness
+    check is one ``cmath.isfinite(sum(out))``, which is sound because a sum
+    holding inf or nan is never finite, and it is made only for the tape's
+    ``watched`` slots.  That misses no failure: ``add``, ``sub``, ``mul``
+    and ``neg`` of complex values give a non-finite value whenever an
+    operand is not finite, so a non-finite value in an unwatched slot is
+    passed on until it reaches a watched slot (the root at the latest),
+    which is checked before any other function reads it.  On an exception,
+    or a non-finite sum, the list is rerun through :func:`evaluate` point
+    by point, which finds the failing point and its error, or, when only
+    the sum overflowed or the value was one :func:`evaluate` does not
+    check, returns the same values.  Each slot's list is released after its
+    last use, so memory follows the number of live slots times the length
+    of the list.
     """
     n = len(points)
-    slots = tape.slots
-    v: list = [None if c is None else [c] * n for c in slots]
+    v: list = [None if c is None else [c] * n for c in tape.slots]
     v[0] = list(map(complex, points))
-    last_use = {}
-    for i, (_, _, a, b, _) in enumerate(tape.code):
-        last_use[a] = i
-        if b is not None:
-            last_use[b] = i
+    last_use, watched = tape.last_use, tape.watched
     isfinite = cmath.isfinite
     try:
-        for i, (slot, fn, a, b, node) in enumerate(tape.code):
+        for i, (slot, fn, a, b, node, _) in enumerate(tape.code):
             if b is None:
                 out = list(map(fn, v[a]))  # log of 0 raises
             elif fn is _power:
-                exponent = slots[b]  # None unless the exponent is a constant
-                k = None if exponent is None else _small_int(exponent)
-                if k is None:
-                    out = list(map(_power, v[a], v[b], repeat(node)))
-                else:
-                    out = _int_power_grid(v[a], k)
+                out = list(map(_power, v[a], v[b], repeat(node)))
             else:
                 out = list(map(fn, v[a], v[b]))  # a zero divisor raises
-            if fn is not neg and not isfinite(sum(out)):
+            if slot in watched and not isfinite(sum(out)):
                 break
             v[slot] = out
             if last_use[a] == i:
@@ -507,23 +561,15 @@ def _int_power(base: complex, n: int) -> complex:
     return result
 
 
-def _int_power_grid(base: list, n: int) -> list:
-    """:func:`_int_power` over a list: the same multiplications in the same order."""
-    if n < 0:
-        return list(map(truediv, repeat(1.0), _int_power_grid(base, -n)))
-    result = [complex(1.0)] * len(base)
-    while n:
-        if n & 1:
-            result = list(map(mul, result, base))
-        n >>= 1
-        if n:
-            base = list(map(mul, base, base))
-    return result
-
-
 # The function a Tape instruction calls for each operator; a power also takes its node.
 _OPS: dict[str, Callable] = {
     "neg": neg, **_UNARY_FN, "+": add, "-": sub, "*": mul, "/": truediv, "^": _power}
+
+# The functions whose result is never finite when an operand is not (for complex operands).
+_PROPAGATING = (add, sub, mul, neg)
+
+# The interning key of the constant 1.0, from which a constant integer power multiplies.
+_ONE_KEY = ("c", complex, struct.pack("<dd", 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,10 @@ class TestExitCodes:
         ("0", "inf", "0", "interval endpoints must be finite"),
         ("2", "1", "0", "need a < b, got a=2.0, b=1.0"),
         ("0", "1", "2.0", "phi must lie in [0, pi/2], got 2.0"),
-    ])
+        ("-1e308", "1e308", "0", "segment length b - a must be finite, got inf"),
+        # the path integral's tolerance, 1e-11 * 1e-320, would underflow to 0
+        ("0", "1e-320", "0", "oracle tolerance 1e-11 times the segment length 1e-320 underflows to 0"),
+    ], ids=["endpoint", "order", "phi", "length-overflows", "tolerance-underflows"])
     def test_segment_errors_keep_their_text(self, capsys, a, b, phi, message):
         code, _, err = _run(capsys, ["verify", "--f", "x", "--a", a, "--b", b, "--phi", phi])
         assert (code, err) == (2, f"simpbound: {message}\n")
@@ -332,6 +335,16 @@ class TestSweep:
         runs = json.loads(out, parse_constant=_reject)["runs"]
         assert [run["status"] for run in runs] == ["error", "ok"]
         assert runs[0]["error"] == "numerical overflow: CLASSICAL bound is inf"
+
+    def test_a_segment_too_long_or_too_short_is_a_failed_cell(self, capsys):
+        code, out, _ = _run(capsys, ["sweep", "--f", "x", "--a", "-1e308,0", "--b", "1e308,1e-320",
+                                     "--q", "1", "--samples", "11", "--format", "json"])
+        assert code == 0
+        errors = {(run["config"]["a"], run["config"]["b"]): run.get("error")
+                  for run in json.loads(out)["runs"]}
+        assert errors[(-1e308, 1e308)] == "segment length b - a must be finite, got inf"
+        assert errors[(0.0, 1e-320)] == (
+            "oracle tolerance 1e-11 times the segment length 1e-320 underflows to 0")
 
     def test_negative_scientific_endpoints(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--f", "x^2", "--a", "-1e-3,-.5", "--b", "1",

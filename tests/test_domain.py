@@ -43,6 +43,8 @@ class TestPhiInterval:
             PhiInterval(2.0, 1.0)
         with pytest.raises(ValueError):
             PhiInterval(0.0, math.inf)
+        with pytest.raises(ValueError, match=r"^segment length b - a must be finite, got inf$"):
+            PhiInterval(-1e308, 1e308)
 
     def test_rejects_phi_outside_range(self):
         with pytest.raises(ValueError):

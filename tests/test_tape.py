@@ -3,6 +3,8 @@ and the grid evaluator against the tape run point by point."""
 
 import cmath
 import math
+import re
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -83,6 +85,14 @@ _points = st.builds(complex, _parts, _parts)
 @settings(max_examples=300)
 # parse reads 1e999 as an infinite constant; negating it is not checked, as in the tree walk
 @example(e=Unary("neg", Const(complex(math.inf))), z=0j)
+# a power multiplies out; its last product is the value checked and named
+@example(e=parse("x^3"), z=1e200)
+# the non-finite x*x is read only by a negation, or only by a division that makes it 0
+@example(e=parse("exp(-(x*x))"), z=1e200)
+@example(e=parse("1/(x*x)"), z=1e200)
+# the longest multiplied-out power, and the first one left to exp(n log z)
+@example(e=parse("x^4096"), z=complex(1.0001, 0.0001))
+@example(e=parse("x^4097"), z=complex(1.0001, 0.0001))
 def test_tape_matches_the_recursive_walk_through_the_fourth_derivative(e, z):
     for _ in range(5):
         tape = Tape(e)
@@ -131,6 +141,36 @@ def test_a_deep_chain_builds_and_runs_without_recursion():
     assert evaluate(s, 0.0) == math.fsum(range(3000))
 
 
+def test_a_power_reports_its_own_value_not_an_intermediate_one():
+    # x*x is already (inf+0j); the power's value is (1e200+0j)*(inf+0j)
+    message = r"^non-finite value \(inf\+nanj\) in 'x\^3\.0'$"
+    with pytest.raises(EvalDomainError, match=message):
+        evaluate(parse("x^3"), 1e200)
+    values, error = evaluate_grid(Tape(parse("x^3")), [2.0, 1e200])
+    assert values == [8.0]
+    assert re.match(message, str(error))
+
+
+def test_constant_positive_integer_powers_multiply_out():
+    def functions(e):
+        return [fn for _, fn, *_ in Tape(e).code]
+
+    assert functions(parse("x^2")) == [mul, mul]  # x*x, then 1*(x*x), as _int_power does
+    tape = Tape(parse("x^4096"))  # twelve squarings, then 1 times the last square
+    assert [(fn, checked) for _, fn, *_, checked in tape.code] == [(mul, False)] * 12 + [(mul, True)]
+    for e in (parse("x^-2"), Binary("^", Var(), Const(complex(-2.0))), parse("x^0"),
+              parse("x^0.5"), parse("x^x"), parse("x^4097")):
+        assert _power in functions(e), e
+
+
+def test_a_grid_watches_only_slots_that_can_hide_a_non_finite_value():
+    tape = Tape(parse("exp(-(x*x)) + 1/(x*x)"))
+    slot = {str(node): slot for slot, _, _, _, node, _ in tape.code}
+    # exp and / can turn inf into 0; neg and + pass it on, and the root is checked last
+    assert tape.watched == {slot["x*x"], slot["-(x*x)"], tape.slots.index(1.0),
+                            len(tape.slots) - 1}
+
+
 def point_by_point(tape, points):
     """evaluate at each point in turn, up to the first that raises, and its error."""
     values = []
@@ -170,6 +210,11 @@ _chunk_line = _line(0.0, 1 / 128, 2 * GRID_CHUNK + 1)  # exact multiples of 2^-7
 # powers by constant integers: the order of the multiplications shows in the last bits
 @example(e=Binary("*", Binary("^", Var(), Const(complex(5.0))), Binary("^", Var(), Const(complex(-3.0)))),
          grid=_line(complex(0.3, 0.7), complex(0.01, -0.02), 10))
+@example(e=parse("x^3"), grid=[1.0, 1e200, 2.0])
+@example(e=parse("exp(-(x*x))"), grid=[1.0, 1e200, 2.0])
+@example(e=parse("1/(x*x)"), grid=[1.0, 1e200, 2.0])
+@example(e=parse("x^4096"), grid=_line(complex(0.999, 0.001), complex(1e-4, 1e-4), 20))
+@example(e=parse("x^4097"), grid=_line(complex(0.999, 0.001), complex(1e-4, 1e-4), 20))
 # x^-3 underflows at 1e-120 after two good points
 @example(e=Binary("^", Var(), Const(complex(-3.0))), grid=[1.0, 0.5, 1e-120, 2.0])
 @example(e=parse("log(x)"), grid=[1.0, 2.0, 0.0, 3.0])
