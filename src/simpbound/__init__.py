@@ -5,6 +5,9 @@ symbolically, verifies to machine precision the equality between the
 Simpson functional minus the path mean and a kernel-weighted integral of
 f', and checks four closed-form bounds against the measured error, gated
 by a sampled chord certificate for |f'|^q along the path.
+
+Records are immutable named tuples, copied with ``._replace``, except
+:class:`PhiInterval`, which computes its ``chord`` once, at construction.
 """
 
 from .bounds import (

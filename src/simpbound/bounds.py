@@ -8,9 +8,9 @@ bound m4 * L^4 / 2880 is included for phi = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isfinite
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domain import PhiInterval
 from .expr import Expr, Tape, differentiate, evaluate, evaluate_grid
@@ -33,24 +33,26 @@ __all__ = [
 DOMINANCE_SLOP = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """|f'(a)|, |f'(b)|, segment length and the exponent q."""
+class BoundInputs(namedtuple("BoundInputs", "deriv_a deriv_b length q", defaults=(1.0,))):
+    """|f'(a)|, |f'(b)|, segment length and the exponent q, checked however
+    built: ``_make``, which ``_replace`` uses, calls the constructor."""
 
-    deriv_a: float
-    deriv_b: float
-    length: float
-    q: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isfinite(self.deriv_a) and self.deriv_a >= 0.0):
-            raise ValueError(f"deriv_a must be finite and >= 0, got {self.deriv_a}")
-        if not (isfinite(self.deriv_b) and self.deriv_b >= 0.0):
-            raise ValueError(f"deriv_b must be finite and >= 0, got {self.deriv_b}")
-        if not self.length > 0.0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if not self.q >= 1.0:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+    def __new__(cls, deriv_a: float, deriv_b: float, length: float, q: float = 1.0):
+        if not (isfinite(deriv_a) and deriv_a >= 0.0):
+            raise ValueError(f"deriv_a must be finite and >= 0, got {deriv_a}")
+        if not (isfinite(deriv_b) and deriv_b >= 0.0):
+            raise ValueError(f"deriv_b must be finite and >= 0, got {deriv_b}")
+        if not length > 0.0:
+            raise ValueError(f"length must be positive, got {length}")
+        if not q >= 1.0:
+            raise ValueError(f"q must be >= 1, got {q}")
+        return super().__new__(cls, deriv_a, deriv_b, length, q)
+
+    @classmethod
+    def _make(cls, iterable) -> "BoundInputs":
+        return cls(*iterable)
 
     @property
     def p(self) -> float:
@@ -70,8 +72,7 @@ class BoundInputs:
         )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One bound row: value, measured |lhs|, slack and the dominance flag."""
 
     theorem: str  # T31 | T32 | T33 | T34 | CLASSICAL

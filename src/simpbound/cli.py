@@ -9,13 +9,13 @@ the report.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bounds import (
     BoundInputs,
@@ -98,8 +98,7 @@ class ConfigError(Exception):
     """Invalid run configuration (maps to exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     expression: str
     a: float
     b: float
@@ -110,8 +109,7 @@ class RunConfig:
     certificate_samples: int = DEFAULT_CERT_SAMPLES
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     config: RunConfig
     identity: IdentityReport
     certificates: tuple[ConvexityCertificate, ...]
@@ -143,7 +141,7 @@ class RunReport:
 
     def cell(self, k: int) -> "RunReport":
         """The report of the k-th q alone: what ``cmd_verify`` gives for it."""
-        return RunReport(replace(self.config, qs=self.config.qs[k:k + 1]), self.identity,
+        return RunReport(self.config._replace(qs=self.config.qs[k:k + 1]), self.identity,
                          self.certificates[k:k + 1], self.rows_per_q[k:k + 1],
                          self.classical, self.m4_estimate)
 
@@ -176,20 +174,24 @@ def cmd_verify(config: RunConfig) -> RunReport:
     """Run the full pipeline for one configuration.
 
     parse -> identity residual -> certificate per q -> every applicable
-    bound -> classical bound (phi = 0 only).  A residual or a bound that is
-    not finite raises OverflowError, so no report carries inf or nan.
+    bound -> classical bound (phi = 0 only).  A side of the identity, its
+    residual or a bound that is not finite raises OverflowError naming it,
+    so no report carries inf or nan.
     """
     iv = validate_config(config)
     f = parse(config.expression)
 
     identity = identity_residual(f, iv, tol=config.oracle_tol)
-    if not math.isfinite(identity.residual):
-        raise OverflowError(f"identity residual is {identity.residual}")
+    if not math.isfinite(identity.residual):  # as it is whenever a side is not finite
+        sides = (("Simpson functional", identity.simpson_value),
+                 ("path mean", identity.path_mean), ("right side", identity.rhs))
+        named = [f"{name} is {value}" for name, value in sides if not cmath.isfinite(value)]
+        raise OverflowError("identity " + (", ".join(named) or f"residual is {identity.residual}"))
     actual = abs(identity.lhs)
 
     certificates = certify_phi_convexity(f, iv, config.qs, samples=config.certificate_samples)
     inputs = BoundInputs.from_function(f, iv)
-    rows_per_q = tuple(_theorem_rows(replace(inputs, q=cert.q), cert, actual)
+    rows_per_q = tuple(_theorem_rows(inputs._replace(q=cert.q), cert, actual)
                        for cert in certificates)
 
     classical = m4 = None
@@ -212,8 +214,7 @@ def _theorem_rows(inputs: BoundInputs, cert: ConvexityCertificate,
                  for name, bound in theorems if cert.q > 1.0 or name in ("T31", "T34"))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     expressions: tuple[str, ...]
     a_values: tuple[float, ...]
     b_values: tuple[float, ...]
@@ -224,15 +225,13 @@ class SweepConfig:
     certificate_samples: int = DEFAULT_CERT_SAMPLES
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     config: RunConfig
     report: Optional[RunReport]
     error: Optional[str]
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     cells: int
     errors: int
     max_residual: Optional[float]
@@ -241,8 +240,7 @@ class SweepSummary:
     verified_violations: int
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     cells: tuple[SweepCell, ...]
     summary: SweepSummary
 
@@ -277,7 +275,7 @@ def cmd_sweep(config: SweepConfig) -> SweepReport:
             cells.append(SweepCell(segment, None, error))
         else:
             for q in segment.qs:
-                cell_config = replace(segment, qs=(q,))
+                cell_config = segment._replace(qs=(q,))
                 cells.append(SweepCell(cell_config, *_attempt(cell_config)))
     return SweepReport(tuple(cells), _summarize(cells))
 

@@ -12,8 +12,7 @@ proof; callers decide on a violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .domain import PhiInterval
 from .expr import Expr, Tape, differentiate, evaluate, evaluate_grid
@@ -41,8 +40,7 @@ DEFAULT_CERT_SAMPLES = 1001
 GRID_CHUNK = 128
 
 
-@dataclass(frozen=True)
-class ConvexityCertificate:
+class ConvexityCertificate(NamedTuple):
     q: float
     sample_count: int
     status: str  # verified | violated

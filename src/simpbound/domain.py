@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = ["PhiInterval", "kernel", "KERNEL_BREAKPOINTS", "HALF_PI"]
 
@@ -16,32 +14,46 @@ HALF_PI = math.pi / 2.0
 KERNEL_BREAKPOINTS = (1.0 / 6.0, 0.5, 5.0 / 6.0)
 
 
-@dataclass(frozen=True)
 class PhiInterval:
     """Real endpoints ``a < b`` with a rotation angle ``phi`` in [0, pi/2].
 
     Parametrizes the complex segment a + t*e^(i*phi)*(b-a) for t in [0, 1].
-    Inputs with phi outside [0, pi/2] are rejected, not wrapped.
+    Inputs with phi outside [0, pi/2] are rejected, not wrapped.  Instances
+    are immutable, and ``chord`` is computed once, at construction, because
+    every path point reads it.
     """
 
-    a: float
-    b: float
-    phi: float = 0.0
+    __slots__ = ("a", "b", "phi", "chord")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __init__(self, a: float, b: float, phi: float = 0.0) -> None:
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
-        if not math.isfinite(self.b - self.a):
-            raise ValueError(f"segment length b - a must be finite, got {self.b - self.a}")
-        if not 0.0 <= self.phi <= HALF_PI:
-            raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
+        if not a < b:
+            raise ValueError(f"need a < b, got a={a}, b={b}")
+        if not math.isfinite(b - a):
+            raise ValueError(f"segment length b - a must be finite, got {b - a}")
+        if not 0.0 <= phi <= HALF_PI:
+            raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
+        chord = cmath.exp(1j * phi) * (b - a)  # displacement from a to the rotated endpoint
+        for name, value in zip(self.__slots__, (a, b, phi, chord)):
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def chord(self) -> complex:
-        """Displacement e^(i*phi)*(b-a) from a to the rotated endpoint."""
-        return cmath.exp(1j * self.phi) * (self.b - self.a)
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"PhiInterval is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # copy, pickle and compare by the constructor's arguments
+        return PhiInterval, (self.a, self.b, self.phi)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PhiInterval and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"PhiInterval(a={self.a!r}, b={self.b!r}, phi={self.phi!r})"
 
     @property
     def length(self) -> float:

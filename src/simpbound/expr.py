@@ -15,7 +15,9 @@ Evaluation is complex-valued throughout; ``log``, ``sqrt`` and non-integer
 powers use principal branches, with ``z^w = exp(w*log(z))``.  Integer
 exponents are evaluated by repeated multiplication so that real bases stay
 exactly real.  Trees are immutable; derivative trees are left unsimplified
-because only their values matter.
+because only their values matter.  Each node is a named tuple, so code
+tells nodes apart by ``type``, never by truth value: ``Var()`` is an empty
+tuple, falsy and equal to ``()``.
 
 Evaluation runs on a :class:`Tape`: the tree compiled once into a
 straight-line program in which structurally equal subterms share one
@@ -52,10 +54,9 @@ import cmath
 import math
 import re
 import struct
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "Expr",
@@ -96,37 +97,23 @@ class EvalDomainError(Exception):
         self.node = node
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: complex
 
-    def __str__(self) -> str:
-        return to_text(self)
+
+class Var(NamedTuple):
+    """The variable ``x``."""
 
 
-@dataclass(frozen=True)
-class Var:
-    def __str__(self) -> str:
-        return "x"
-
-
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # "neg", "exp", "log", "sin", "cos", "sqrt"
     arg: "Expr"
 
-    def __str__(self) -> str:
-        return to_text(self)
 
-
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # "+", "-", "*", "/", "^"
     left: "Expr"
     right: "Expr"
-
-    def __str__(self) -> str:
-        return to_text(self)
 
 
 Expr = Union[Const, Var, Unary, Binary]
@@ -649,6 +636,9 @@ _PREC_ATOM = 5
 def to_text(e: Expr) -> str:
     """Render the tree as parseable infix text (round-trips through parse)."""
     return _render(e, 0)
+
+
+Const.__str__ = Var.__str__ = Unary.__str__ = Binary.__str__ = to_text  # str(node) is its text
 
 
 def _render(e: Expr, min_prec: int) -> str:

@@ -12,7 +12,7 @@ the modulus enters only when comparing against bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import KERNEL_BREAKPOINTS, PhiInterval, kernel
 from .expr import Expr, Tape, differentiate, evaluate
@@ -30,8 +30,7 @@ __all__ = [
 DEFAULT_IDENTITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Simpson functional vs path mean, with the kernel-weighted right side."""
 
     simpson_value: complex

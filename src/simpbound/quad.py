@@ -16,9 +16,8 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .domain import PhiInterval
 from .expr import Expr, Tape, evaluate
@@ -89,8 +88,7 @@ class BudgetExceededError(QuadratureError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error_estimate: float
     evaluations: int

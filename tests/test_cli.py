@@ -13,6 +13,7 @@ from simpbound.cli import (
     main,
     parse_phi,
 )
+from simpbound.identity import IdentityReport
 from simpbound.report import (
     float17,
     render_csv_sweep,
@@ -84,14 +85,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["--f", "exp(x)", "--a", "0", "--b", "700"], "CLASSICAL bound is inf"),
-        (["--f", "1e308*x", "--a", "0", "--b", "1.7"], "identity residual is inf"),
-    ], ids=["bound", "residual"])
+        (["--f", "1e308*x", "--a", "0", "--b", "1.7"], "identity Simpson functional is (inf+nanj)"),
+        (["--f", "x", "--a", "0", "--b", "1e308"],
+         "identity Simpson functional is (inf+nanj), path mean is (inf+nanj)"),
+    ], ids=["bound", "simpson", "simpson-and-mean"])
     def test_a_non_finite_result_is_an_overflow_not_a_report(self, capsys, argv, message):
-        # e^700 * 700^4 / 2880 and 4 f(mid) = 3.4e308 overflow without raising
+        # e^700 * 700^4 / 2880 and 4 f(mid) = 3.4e308 overflow without raising; on
+        # [0, 1e308] every f value is finite, but 4 f(mid) = 2e308 is not, nor is the
+        # contour integral 5e615 that the path mean divides by the chord
         code, out, err = _run(capsys, ["verify", *argv, "--q", "1", "--samples", "11",
                                        "--format", "json"])
         assert (code, out) == (3, "")
         assert err == f"simpbound: numerical overflow: {message}\n"
+
+    def test_a_residual_overflowing_between_finite_sides_is_named(self, capsys, monkeypatch):
+        side = complex(1.5e308)  # simpson - mean = 3e308 overflows
+        monkeypatch.setattr(cli, "identity_residual", lambda f, iv, tol: IdentityReport(
+            side, -side, side + side, 0j, math.inf))
+        code, out, err = _run(capsys, ["verify", "--f", "x", "--a", "0", "--b", "1"])
+        assert (code, out) == (3, "")
+        assert err == "simpbound: numerical overflow: identity residual is inf\n"
 
     def test_an_infinite_power_argument_names_its_subterm(self, capsys):
         # 1e308*log(-2) has an infinite imaginary part at x = 1, the first Simpson point
