@@ -9,7 +9,7 @@ bound m4 * L^4 / 2880 is included for phi = 0.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isfinite
+from math import exp, isfinite, log, log1p
 from typing import NamedTuple, Optional
 
 from .domain import PhiInterval
@@ -63,6 +63,7 @@ class BoundInputs(namedtuple("BoundInputs", "deriv_a deriv_b length q", defaults
 
     @classmethod
     def from_function(cls, f: Expr, iv: PhiInterval, q: float = 1.0) -> "BoundInputs":
+        """f' evaluated at a and b; a certificate of f on ``iv`` carries the same two values."""
         fp = Tape(differentiate(f))
         return cls(
             deriv_a=abs(evaluate(fp, complex(iv.a))),
@@ -102,6 +103,24 @@ def kernel_moment(p: float) -> float:
     return (1.0 + 2.0 ** (p + 1.0)) / (6.0 ** (p + 1.0) * (p + 1.0))
 
 
+def _moment_root(p: float, scale: float) -> float:
+    """(scale * kernel_moment(p))^(1/p), which T32 and T33 take.
+
+    Above p of about 391 (q just above 1) 6^(p+1) leaves the float range and
+    the moment overflows or reads 0; the root is then taken in log space,
+    with log kernel_moment(p) = -(p+1) ln 3 + log1p(2^-(p+1)) - ln(p+1).
+    Everywhere else the direct form stays, so those bounds keep their bits.
+    """
+    try:
+        root = (scale * kernel_moment(p)) ** (1.0 / p)
+    except OverflowError:
+        root = 0.0
+    if root > 0.0:
+        return root
+    log_moment = -(p + 1.0) * log(3.0) + log1p(2.0 ** -(p + 1.0)) - log(p + 1.0)
+    return exp((log(scale) + log_moment) / p)
+
+
 def bound_t31(inputs: BoundInputs) -> float:
     """(5/72) L (|f'(a)| + |f'(b)|)."""
     return (5.0 / 72.0) * inputs.length * (inputs.deriv_a + inputs.deriv_b)
@@ -117,7 +136,7 @@ def bound_t32(inputs: BoundInputs) -> float:
     q = inputs.q
     aq = inputs.deriv_a ** q
     bq = inputs.deriv_b ** q
-    factor = kernel_moment(p) ** (1.0 / p)
+    factor = _moment_root(p, 1.0)
     halves = ((3.0 * aq + bq) / 8.0) ** (1.0 / q) + ((aq + 3.0 * bq) / 8.0) ** (1.0 / q)
     return inputs.length * factor * halves
 
@@ -130,7 +149,7 @@ def bound_t33(inputs: BoundInputs) -> float:
     p = inputs.p
     q = inputs.q
     mean = ((inputs.deriv_a ** q + inputs.deriv_b ** q) / 2.0) ** (1.0 / q)
-    return inputs.length * (2.0 * kernel_moment(p)) ** (1.0 / p) * mean
+    return inputs.length * _moment_root(p, 2.0) * mean
 
 
 def bound_t34(inputs: BoundInputs) -> float:

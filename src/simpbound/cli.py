@@ -165,6 +165,9 @@ def validate_config(config: RunConfig) -> PhiInterval:
     if not config.oracle_tol * iv.length > 0.0:  # the path integral's tolerance scales by it
         raise ConfigError(f"oracle tolerance {config.oracle_tol} times the segment length "
                           f"{iv.length} underflows to 0")
+    if not config.oracle_tol / abs(iv.chord) > 0.0:  # the kernel integral's, divided by it
+        raise ConfigError(f"oracle tolerance {config.oracle_tol} divided by the segment length "
+                          f"{iv.length} underflows to 0")
     if config.certificate_samples < 3:
         raise ConfigError(f"certificate samples must be >= 3, got {config.certificate_samples}")
     return iv
@@ -174,9 +177,10 @@ def cmd_verify(config: RunConfig) -> RunReport:
     """Run the full pipeline for one configuration.
 
     parse -> identity residual -> certificate per q -> every applicable
-    bound -> classical bound (phi = 0 only).  A side of the identity, its
-    residual or a bound that is not finite raises OverflowError naming it,
-    so no report carries inf or nan.
+    bound, from that certificate's |f'(a)| and |f'(b)| -> classical bound
+    (phi = 0 only).  A side of the identity, its residual or a bound that
+    is not finite raises OverflowError naming it, so no report carries inf
+    or nan.
     """
     iv = validate_config(config)
     f = parse(config.expression)
@@ -190,9 +194,7 @@ def cmd_verify(config: RunConfig) -> RunReport:
     actual = abs(identity.lhs)
 
     certificates = certify_phi_convexity(f, iv, config.qs, samples=config.certificate_samples)
-    inputs = BoundInputs.from_function(f, iv)
-    rows_per_q = tuple(_theorem_rows(inputs._replace(q=cert.q), cert, actual)
-                       for cert in certificates)
+    rows_per_q = tuple(_theorem_rows(cert, iv.length, actual) for cert in certificates)
 
     classical = m4 = None
     if config.phi == 0.0:
@@ -206,9 +208,10 @@ def cmd_verify(config: RunConfig) -> RunReport:
     return report
 
 
-def _theorem_rows(inputs: BoundInputs, cert: ConvexityCertificate,
+def _theorem_rows(cert: ConvexityCertificate, length: float,
                   actual: float) -> tuple[BoundReport, ...]:
-    """T31 to T34 for one certificate, from ``inputs`` at its q; T32 and T33 need q > 1."""
+    """T31 to T34 from one certificate's |f'(a)|, |f'(b)| and q; T32 and T33 need q > 1."""
+    inputs = BoundInputs(cert.deriv_a, cert.deriv_b, length, cert.q)
     theorems = (("T31", bound_t31), ("T32", bound_t32), ("T33", bound_t33), ("T34", bound_t34))
     return tuple(make_bound_report(name, cert.q, bound(inputs), actual, cert.status)
                  for name, bound in theorems if cert.q > 1.0 or name in ("T31", "T34"))

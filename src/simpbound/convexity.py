@@ -5,8 +5,9 @@ This is the hypothesis every closed-form bound consumes:
     |f'(a + t e^(i phi) (b-a))|^q  <=  (1-t) |f'(a)|^q + t |f'(b)|^q
 
 with f' taken at the real endpoints a and b; |f'| is sampled once for all q,
-GRID_CHUNK path points at a time.  A certificate is sampled evidence, not a
-proof; callers decide on a violation.
+GRID_CHUNK path points at a time.  Each certificate carries |f'(a)| and
+|f'(b)|, the inputs of every closed-form bound.  A certificate is sampled
+evidence, not a proof; callers decide on a violation.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class ConvexityCertificate(NamedTuple):
     sample_count: int
     status: str  # verified | violated
     worst_margin: float  # min over samples of (chord - value)
+    deriv_a: float  # |f'(a)|, the chord's left end before the power q
+    deriv_b: float  # |f'(b)|
     violation_t: Optional[float] = None  # present iff violated
 
 
@@ -78,8 +81,9 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
                 worst[j] = (low, t)
         if error is not None:  # raised after the margins of the points before it
             raise error
-    return tuple(ConvexityCertificate(q, samples, VIOLATED, margin, t) if margin < -DEFAULT_CERT_TOL
-                 else ConvexityCertificate(q, samples, VERIFIED, margin, None)
+    return tuple(ConvexityCertificate(q, samples, VIOLATED, margin, deriv_a, deriv_b, t)
+                 if margin < -DEFAULT_CERT_TOL
+                 else ConvexityCertificate(q, samples, VERIFIED, margin, deriv_a, deriv_b)
                  for q, (margin, t) in zip(qs, worst))
 
 

@@ -144,6 +144,44 @@ class TestBoundFormulas:
         assert inputs.length == 2.0
 
 
+# q just above 1: the conjugate exponent p = q/(q-1) runs from about 4.5e15
+# down to 386, and 6^(p+1) in kernel_moment(p) leaves the float range above
+# p of about 391 (q below about 1.00256)
+Q_NEAR_ONE = (1.0000000000000002, 1.001, 1.0025, 1.00254, 1.0026)
+
+
+def _mp_hoelder_bounds(inputs):
+    """T32 and T33 of ``inputs`` in 50-digit arithmetic, from the same formulas."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        q = mpmath.mpf(inputs.q)
+        p = q / (q - 1)
+        moment = (1 + 2 ** (p + 1)) / (6 ** (p + 1) * (p + 1))
+        aq, bq = mpmath.mpf(inputs.deriv_a) ** q, mpmath.mpf(inputs.deriv_b) ** q
+        t32 = inputs.length * moment ** (1 / p) * (((3 * aq + bq) / 8) ** (1 / q)
+                                                   + ((aq + 3 * bq) / 8) ** (1 / q))
+        t33 = inputs.length * (2 * moment) ** (1 / p) * ((aq + bq) / 2) ** (1 / q)
+        return float(t32), float(t33)
+
+
+class TestQJustAboveOne:
+    @pytest.mark.parametrize("q", Q_NEAR_ONE)
+    def test_hoelder_bounds_match_fifty_digits(self, q):
+        inputs = BoundInputs(1.0, math.e, 1.0, q=q)
+        got = (bound_t32(inputs), bound_t33(inputs))
+        assert all(math.isfinite(value) and value > 0.0 for value in got)
+        for value, reference in zip(got, _mp_hoelder_bounds(inputs)):
+            assert abs(value - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize("q", Q_NEAR_ONE)
+    def test_hoelder_bounds_dominate_for_exp(self, q):
+        f, iv = parse("exp(x)"), PhiInterval(0.0, 1.0)
+        inputs = BoundInputs.from_function(f, iv, q=q)
+        actual = abs(identity_residual(f, iv).lhs)
+        assert actual <= bound_t32(inputs)
+        assert actual <= bound_t33(inputs)
+
+
 class TestClassicalBound:
     def test_quartic_equality(self):
         # constant fourth derivative achieves the bound exactly

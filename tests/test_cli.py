@@ -165,16 +165,24 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "simpbound: RecursionError: maximum recursion depth exceeded\n"
 
-    @pytest.mark.parametrize("a,b,phi,message", [
-        ("0", "inf", "0", "interval endpoints must be finite"),
-        ("2", "1", "0", "need a < b, got a=2.0, b=1.0"),
-        ("0", "1", "2.0", "phi must lie in [0, pi/2], got 2.0"),
-        ("-1e308", "1e308", "0", "segment length b - a must be finite, got inf"),
+    @pytest.mark.parametrize("a,b,phi,tol,message", [
+        ("0", "inf", "0", "1e-11", "interval endpoints must be finite"),
+        ("2", "1", "0", "1e-11", "need a < b, got a=2.0, b=1.0"),
+        ("0", "1", "2.0", "1e-11", "phi must lie in [0, pi/2], got 2.0"),
+        ("-1e308", "1e308", "0", "1e-11", "segment length b - a must be finite, got inf"),
         # the path integral's tolerance, 1e-11 * 1e-320, would underflow to 0
-        ("0", "1e-320", "0", "oracle tolerance 1e-11 times the segment length 1e-320 underflows to 0"),
-    ], ids=["endpoint", "order", "phi", "length-overflows", "tolerance-underflows"])
-    def test_segment_errors_keep_their_text(self, capsys, a, b, phi, message):
-        code, _, err = _run(capsys, ["verify", "--f", "x", "--a", a, "--b", b, "--phi", phi])
+        ("0", "1e-320", "0", "1e-11",
+         "oracle tolerance 1e-11 times the segment length 1e-320 underflows to 0"),
+        # the kernel integral's tolerance, tol / (b - a), would underflow to 0
+        ("0", "2", "0", "5e-324",
+         "oracle tolerance 5e-324 divided by the segment length 2.0 underflows to 0"),
+        ("0", "1e5", "0", "1e-320",
+         "oracle tolerance 1e-320 divided by the segment length 100000.0 underflows to 0"),
+    ], ids=["endpoint", "order", "phi", "length-overflows", "tolerance-underflows",
+            "kernel-tolerance-underflows", "kernel-tolerance-underflows-on-a-long-segment"])
+    def test_segment_errors_keep_their_text(self, capsys, a, b, phi, tol, message):
+        code, _, err = _run(capsys, ["verify", "--f", "x", "--a", a, "--b", b, "--phi", phi,
+                                     "--tol", tol])
         assert (code, err) == (2, f"simpbound: {message}\n")
 
     @pytest.mark.parametrize("text", ["(" * 600 + "x" + ")" * 600, " + ".join(["x"] * 3000)],
@@ -359,6 +367,16 @@ class TestSweep:
         assert errors[(0.0, 1e-320)] == (
             "oracle tolerance 1e-11 times the segment length 1e-320 underflows to 0")
 
+    def test_a_kernel_tolerance_that_underflows_is_a_failed_cell(self, capsys):
+        code, out, _ = _run(capsys, ["sweep", "--f", "x", "--a", "0", "--b", "1,2",
+                                     "--q", "1", "--tol", "5e-324", "--samples", "11",
+                                     "--format", "json"])
+        assert code == 0
+        runs = json.loads(out)["runs"]
+        assert [run["status"] for run in runs] == ["ok", "error"]
+        assert runs[1]["error"] == (
+            "oracle tolerance 5e-324 divided by the segment length 2.0 underflows to 0")
+
     def test_negative_scientific_endpoints(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--f", "x^2", "--a", "-1e-3,-.5", "--b", "1",
                                      "--q", "2", "--samples", "51", "--format", "csv"])
@@ -432,27 +450,45 @@ class TestSweepSegments:
 
 
 class TestOneCertificatePass:
-    """``cmd_verify`` certifies its whole q list in one call."""
+    """``cmd_verify`` certifies its whole q list in one call, and its bounds
+    read |f'(a)| and |f'(b)| from those certificates."""
 
-    def test_one_certificate_and_one_from_function_call(self, monkeypatch):
-        certify_calls, inputs_calls = [], []
-        certify, from_function = cli.certify_phi_convexity, cli.BoundInputs.from_function
+    def test_one_certificate_call_and_no_from_function_call(self, monkeypatch):
+        certify_calls = []
+        certify = cli.certify_phi_convexity
 
         def counted_certify(f, iv, qs, **kwargs):
             certify_calls.append(qs)
             return certify(f, iv, qs, **kwargs)
 
-        def counted_from_function(*args, **kwargs):
-            inputs_calls.append(args)
-            return from_function(*args, **kwargs)
+        def refused(*args, **kwargs):
+            raise AssertionError("cmd_verify called BoundInputs.from_function")
         monkeypatch.setattr(cli, "certify_phi_convexity", counted_certify)
-        monkeypatch.setattr(cli.BoundInputs, "from_function", counted_from_function)
+        monkeypatch.setattr(cli.BoundInputs, "from_function", classmethod(refused))
         report = cmd_verify(RunConfig("exp(sin(x))", 0.0, 2.0, certificate_samples=51))
         qs = cli.DEFAULT_Q_LIST
         assert certify_calls == [qs]
-        assert len(inputs_calls) == 1
         assert tuple(cert.q for cert in report.certificates) == qs
         assert tuple(row.q for row in report.bounds if row.theorem == "T34") == qs
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 4], ids=["phi-0", "phi-pi/4"])
+    @pytest.mark.parametrize("expression, a, b", [("exp(sin(x))", 0.0, 2.0),
+                                                  ("x^5 - 2.2*x^3 + x", 1.0, 2.0),
+                                                  ("sin(x)", 1.0, 3.0)])
+    def test_rows_match_the_inputs_from_function_gives(self, expression, a, b, phi):
+        config = RunConfig(expression, a, b, phi, qs=(1.0, 1.5, 2.0, 5.0),
+                           certificate_samples=51)
+        report = cmd_verify(config)
+        inputs = cli.BoundInputs.from_function(cli.parse(expression), cli.PhiInterval(a, b, phi))
+        actual = abs(report.identity.lhs)
+        expected = []
+        for cert in report.certificates:
+            at_q = inputs._replace(q=cert.q)
+            expected.extend(cli.make_bound_report(name, cert.q, bound(at_q), actual, cert.status)
+                            for name, bound in (("T31", cli.bound_t31), ("T32", cli.bound_t32),
+                                                ("T33", cli.bound_t33), ("T34", cli.bound_t34))
+                            if cert.q > 1.0 or name in ("T31", "T34"))
+        assert repr(report.bounds) == repr(tuple(expected))
 
     # f' divides by zero at x = 0.7, a certificate point the identity never
     # evaluates, and |f'(0)|^400 overflows

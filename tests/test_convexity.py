@@ -28,8 +28,10 @@ def reference_certify(f, iv, q, samples=DEFAULT_CERT_SAMPLES, tol=DEFAULT_CERT_T
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     fp = Tape(differentiate(f))
-    at_a = abs(evaluate(fp, complex(iv.a))) ** q
-    at_b = abs(evaluate(fp, complex(iv.b))) ** q
+    deriv_a = abs(evaluate(fp, complex(iv.a)))
+    at_a = deriv_a ** q
+    deriv_b = abs(evaluate(fp, complex(iv.b)))
+    at_b = deriv_b ** q
     worst = math.inf
     worst_t = 0.0
     for k in range(samples):
@@ -40,8 +42,8 @@ def reference_certify(f, iv, q, samples=DEFAULT_CERT_SAMPLES, tol=DEFAULT_CERT_T
             worst = margin
             worst_t = t
     if worst < -tol:
-        return ConvexityCertificate(q, samples, VIOLATED, worst, worst_t)
-    return ConvexityCertificate(q, samples, VERIFIED, worst, None)
+        return ConvexityCertificate(q, samples, VIOLATED, worst, deriv_a, deriv_b, worst_t)
+    return ConvexityCertificate(q, samples, VERIFIED, worst, deriv_a, deriv_b, None)
 
 
 class TestCertify:
@@ -105,6 +107,12 @@ class TestCertify:
             certify_phi_convexity(f, iv, (0.5,))
         with pytest.raises(ValueError):
             certify_phi_convexity(f, iv, (1.0,), samples=2)
+
+    def test_carries_the_endpoint_slopes(self):
+        # f' = 3x^2 + 1: |f'(1)| = 4 and |f'(3)| = 28, whatever the angle and q
+        certs = certify_phi_convexity(parse("x^3 + x"), PhiInterval(1.0, 3.0, math.pi / 4),
+                                      (1.0, 2.0), samples=11)
+        assert [(cert.deriv_a, cert.deriv_b) for cert in certs] == [(4.0, 28.0)] * 2
 
     def test_deterministic(self):
         f = parse("sin(x)")

@@ -47,6 +47,18 @@ FAILING = [
     (["--f", "exp(x)", "--a", "0", "--b", "1", "--identity-tol", "1e-18"], 1),
 ]
 
+# (verify arguments, exit code) of inputs that once ended in another code
+FIXED = [
+    # tol / (b - a), the kernel integral's tolerance, underflowed to 0: was exit 3
+    (["--f", "x", "--a", "0", "--b", "2", "--q", "1", "--tol", "5e-324"], 2),
+    (["--f", "x", "--a", "0", "--b", "1e5", "--tol", "1e-320"], 2),
+    # kernel_moment(p) left the float range for q just above 1: T32 = T33 = 0
+    # and exit 1 at q = 1.00254, exit 3 at q = 1.001; exit 0 with a JSON report
+    # that parses without non-finite constants means finite, dominant T32/T33
+    (["--f", "exp(x)", "--a", "0", "--b", "1", "--q", "1.00254"], 0),
+    (["--f", "exp(x)", "--a", "0", "--b", "1", "--q", "1.001"], 0),
+]
+
 _coefficients = st.integers(-10, 10).map(lambda n: f"{n / 10:g}")
 _terms = st.one_of(
     st.builds(lambda c, k: f"{c}*x^{k}", _coefficients, st.integers(0, 3)),
@@ -132,3 +144,10 @@ def test_generated_inputs_keep_the_exit_code_contract(argv, fmt, samples):
 @pytest.mark.parametrize("argv,expected", FAILING, ids=[" ".join(a) for a, _ in FAILING])
 def test_failing_inputs_keep_the_exit_code_contract(argv, expected, fmt):
     assert run_main(["verify", *argv, "--samples", "11"], fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv,expected", FIXED, ids=[" ".join(a) for a, _ in FIXED])
+def test_fixed_inputs_keep_their_exit_code(argv, expected, fmt):
+    assert run_main(["verify", *argv, "--samples", "11"], fmt) == expected
+

@@ -103,7 +103,7 @@ def test_bound_inputs_check_every_way_of_building_one(args, message):
         assert str(info.value) == message
 
 
-def test_the_per_q_copy_in_cmd_verify_is_checked(monkeypatch):
+def test_the_per_q_inputs_in_cmd_verify_are_checked(monkeypatch):
     certify = cli.certify_phi_convexity
 
     def with_a_bad_q(f, iv, qs, **kwargs):
