@@ -2,18 +2,21 @@
 
 All four theorem bounds are built from |f'| at the real endpoints a and b,
 the segment length L = b - a (the rotation factor enters only through its
-modulus, which is 1), and an exponent q >= 1.  The classical fourth-order
-bound m4 * L^4 / 2880 is included for phi = 0.
+modulus, which is 1), and a finite exponent q >= 1.  The classical
+fourth-order bound m4 * L^4 / 2880 is included for phi = 0, with m4 the
+largest |f''''| that ``convexity.path_moduli``, the certificate's sampler,
+yields at M4_SAMPLES points of [a, b].
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import exp, isfinite, log, log1p
+from math import exp, inf, isfinite, log, log1p
 from typing import NamedTuple, Optional
 
+from .convexity import path_moduli
 from .domain import PhiInterval
-from .expr import Expr, Tape, differentiate, evaluate, evaluate_grid
+from .expr import Expr, Tape, differentiate, evaluate
 
 __all__ = [
     "BoundInputs",
@@ -27,10 +30,14 @@ __all__ = [
     "classical_bound",
     "estimate_m4",
     "DOMINANCE_SLOP",
+    "M4_SAMPLES",
 ]
 
 # Numeric slop when flagging dominance: actual <= bound + DOMINANCE_SLOP.
 DOMINANCE_SLOP = 1e-12
+
+# Evenly spaced points of [a, b], both ends included, at which estimate_m4 samples |f''''|.
+M4_SAMPLES = 101
 
 
 class BoundInputs(namedtuple("BoundInputs", "deriv_a deriv_b length q", defaults=(1.0,))):
@@ -46,7 +53,9 @@ class BoundInputs(namedtuple("BoundInputs", "deriv_a deriv_b length q", defaults
             raise ValueError(f"deriv_b must be finite and >= 0, got {deriv_b}")
         if not length > 0.0:
             raise ValueError(f"length must be positive, got {length}")
-        if not q >= 1.0:
+        if not isfinite(q):
+            raise ValueError(f"q must be finite, got {q}")
+        if q < 1.0:
             raise ValueError(f"q must be >= 1, got {q}")
         return super().__new__(cls, deriv_a, deriv_b, length, q)
 
@@ -98,8 +107,8 @@ def kernel_moment(p: float) -> float:
     Equals (1 + 2^(p+1)) / (6^(p+1) (p+1)); at p=1 this is 5/72, at p=2 it
     is 1/72.
     """
-    if not p > 0.0:
-        raise ValueError(f"moment exponent must be positive, got {p}")
+    if not 0.0 < p < inf:
+        raise ValueError(f"moment exponent must be finite and positive, got {p}")
     return (1.0 + 2.0 ** (p + 1.0)) / (6.0 ** (p + 1.0) * (p + 1.0))
 
 
@@ -175,23 +184,17 @@ def classical_bound(m4: float, length: float) -> float:
     return m4 * length**4 / 2880.0
 
 
-def estimate_m4(f: Expr, iv: PhiInterval, samples: int = 101) -> float:
-    """Grid maximum of the fourth derivative magnitude on [a, b].
+def estimate_m4(f: Expr, iv: PhiInterval) -> float:
+    """Largest |f''''| at M4_SAMPLES evenly spaced points of [a, b], ends included.
 
     A lower estimate of the supremum (sampling cannot certify a sup);
-    only defined for phi = 0.
+    only defined for phi = 0, where the path point of t is a + t (b - a).
+    ``convexity.path_moduli`` samples the points and raises the first
+    error a point-by-point pass would meet.
     """
     if iv.phi != 0.0:
         raise ValueError("fourth-derivative estimate requires phi = 0")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
     d4 = f
     for _ in range(4):
         d4 = differentiate(d4)
-    xs = [iv.a + k / (samples - 1) * (iv.b - iv.a) for k in range(samples)]
-    values, error = evaluate_grid(Tape(d4), xs)
-    # |f''''| overflowing before the failing point raises first, as it would point by point
-    best = max(map(abs, values), default=0.0)
-    if error is not None:
-        raise error
-    return best
+    return max(max(moduli) for _, moduli in path_moduli(Tape(d4), iv, M4_SAMPLES))

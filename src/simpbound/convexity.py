@@ -4,16 +4,18 @@ This is the hypothesis every closed-form bound consumes:
 
     |f'(a + t e^(i phi) (b-a))|^q  <=  (1-t) |f'(a)|^q + t |f'(b)|^q
 
-with f' taken at the real endpoints a and b; |f'| is sampled once for all q,
-GRID_CHUNK path points at a time.  Each certificate carries |f'(a)| and
-|f'(b)|, the inputs of every closed-form bound.  A certificate is sampled
-evidence, not a proof; callers decide on a violation.
+with f' taken at the real endpoints a and b.  Each certificate carries
+|f'(a)| and |f'(b)|, the inputs of every closed-form bound.  A certificate
+is sampled evidence, not a proof; callers decide on a violation.
+
+:func:`path_moduli` samples |f'| for the certificate and |f''''| for
+``bounds.estimate_m4``: it is the one walk of a tape along the path.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .domain import PhiInterval
 from .expr import Expr, Tape, differentiate, evaluate, evaluate_grid
@@ -26,6 +28,7 @@ __all__ = [
     "SKIPPED",
     "DEFAULT_CERT_TOL",
     "DEFAULT_CERT_SAMPLES",
+    "path_moduli",
 ]
 
 VERIFIED = "verified"
@@ -51,6 +54,34 @@ class ConvexityCertificate(NamedTuple):
     violation_t: Optional[float] = None  # present iff violated
 
 
+def path_moduli(tape: Tape, iv: PhiInterval,
+                samples: int) -> Iterator[tuple[list[float], list[float]]]:
+    """``(ts, moduli)`` per chunk: |tape| at the path points of t = k/(samples-1).
+
+    Each chunk of GRID_CHUNK points (the last one fewer) is one
+    ``evaluate_grid`` call, so memory follows the chunk, not ``samples``.
+    When a point fails, with an ``EvalDomainError`` of the tape or the
+    ``OverflowError`` of its modulus, ``moduli`` stops short of ``ts``
+    there, and that error is raised once the chunk has been consumed: the
+    first error a point-by-point pass would meet, after the moduli of the
+    points before it.
+    """
+    for start in range(0, samples, GRID_CHUNK):
+        ts = [k / (samples - 1) for k in range(start, min(start + GRID_CHUNK, samples))]
+        values, error = evaluate_grid(tape, [iv.path_point(t) for t in ts])
+        moduli = []
+        for value in values:
+            try:
+                moduli.append(abs(value))
+            except OverflowError as exc:
+                error = exc
+                break
+        if moduli:
+            yield ts, moduli
+        if error is not None:
+            raise error
+
+
 def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
                           samples: int = DEFAULT_CERT_SAMPLES) -> tuple[ConvexityCertificate, ...]:
     """Compare |f'(path(t))|^q against the endpoint chord on a uniform grid.
@@ -60,11 +91,15 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
     decide its status: ``violated`` iff that margin drops below
     ``-DEFAULT_CERT_TOL``.  The error raised is the first that a
     point-by-point pass would meet: the powers at a and b, then per path
-    point its evaluation and its power for each q.
+    point its evaluation and its power for each q.  Fewer than 3 samples,
+    or a q that is not finite or below 1, raise ``ValueError`` before f'
+    is taken.
     """
     if samples < 3:
         raise ValueError(f"need at least 3 samples, got {samples}")
     for q in qs:
+        if not math.isfinite(q):
+            raise ValueError(f"q must be finite, got {q}")
         if q < 1.0:
             raise ValueError(f"q must be >= 1, got {q}")
     fp = Tape(differentiate(f))
@@ -73,42 +108,14 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
     deriv_b = abs(evaluate(fp, complex(iv.b)))
     at_b = [deriv_b ** q for q in qs]
     worst = [(math.inf, 0.0)] * len(qs)  # (margin, t) per q
-    for start in range(0, samples, GRID_CHUNK):
-        ts = [k / (samples - 1) for k in range(start, min(start + GRID_CHUNK, samples))]
-        lows, error = _chunk_minima(fp, iv, ts, qs, at_a, at_b)
-        for j, (low, t) in enumerate(lows):
+    for ts, moduli in path_moduli(fp, iv, samples):
+        for j, (q, chord_a, chord_b) in enumerate(zip(qs, at_a, at_b)):
+            margins = [(1.0 - t) * chord_a + t * chord_b - value ** q  # chord - value
+                       for t, value in zip(ts, moduli)]
+            low = min(margins)
             if low < worst[j][0]:  # strict: the first of equal margins stays the worst
-                worst[j] = (low, t)
-        if error is not None:  # raised after the margins of the points before it
-            raise error
+                worst[j] = (low, ts[margins.index(low)])
     return tuple(ConvexityCertificate(q, samples, VIOLATED, margin, deriv_a, deriv_b, t)
                  if margin < -DEFAULT_CERT_TOL
                  else ConvexityCertificate(q, samples, VERIFIED, margin, deriv_a, deriv_b)
                  for q, (margin, t) in zip(qs, worst))
-
-
-def _chunk_minima(fp: Tape, iv: PhiInterval, ts: list[float], qs: Sequence[float],
-                  at_a: list[float], at_b: list[float]) -> tuple[list, Optional[Exception]]:
-    """Each q's least margin over path parameters ``ts`` and the first t with it.
-
-    Only the points before the first failure count; that failure, an error
-    of f' or an |f'| beyond the float range, is returned with the minima.
-    The chunk's lists die with the call, so one chunk is alive at a time.
-    """
-    values, error = evaluate_grid(fp, [iv.path_point(t) for t in ts])
-    moduli = []
-    for value in values:
-        try:
-            moduli.append(abs(value))
-        except OverflowError as exc:
-            error = exc
-            break
-    if not moduli:
-        return [], error
-    lows = []
-    for q, chord_a, chord_b in zip(qs, at_a, at_b):
-        margins = [(1.0 - t) * chord_a + t * chord_b - value ** q  # chord - value
-                   for t, value in zip(ts, moduli)]
-        low = min(margins)
-        lows.append((low, ts[margins.index(low)]))
-    return lows, error

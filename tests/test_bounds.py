@@ -11,7 +11,9 @@ from simpbound import (
     bound_t32,
     bound_t33,
     bound_t34,
+    bounds,
     classical_bound,
+    convexity,
     estimate_m4,
     identity_residual,
     integrate_01,
@@ -43,6 +45,10 @@ class TestKernelMoment:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             kernel_moment(0.0)
+
+    def test_rejects_an_infinite_exponent(self):
+        with pytest.raises(ValueError, match="^moment exponent must be finite and positive, got inf$"):
+            kernel_moment(math.inf)
 
 
 class TestHalfMoments:
@@ -207,27 +213,52 @@ class TestClassicalBound:
 
 
 class TestEstimateM4:
-    def test_constant_fourth_derivative(self):
+    def test_constant_fourth_derivative(self, monkeypatch):
         for samples in (2, 11, 101):
-            assert abs(estimate_m4(parse("x^4"), PhiInterval(0.0, 1.0), samples) - 24.0) < 1e-9
+            monkeypatch.setattr(bounds, "M4_SAMPLES", samples)
+            assert abs(estimate_m4(parse("x^4"), PhiInterval(0.0, 1.0)) - 24.0) < 1e-9
 
     def test_monotone_fourth_derivative_peaks_at_endpoint(self):
-        value = estimate_m4(parse("exp(x)"), PhiInterval(0.0, 1.0), 101)
+        value = estimate_m4(parse("exp(x)"), PhiInterval(0.0, 1.0))
         assert abs(value - math.e) < 1e-12
 
     def test_interior_peak_on_grid(self):
-        value = estimate_m4(parse("sin(x)"), PhiInterval(0.0, math.pi), 101)
+        value = estimate_m4(parse("sin(x)"), PhiInterval(0.0, math.pi))
         assert abs(value - 1.0) < 1e-3
 
     def test_rejects_rotated_segment(self):
         with pytest.raises(ValueError):
-            estimate_m4(parse("x^4"), PhiInterval(0.0, 1.0, math.pi / 4), 11)
+            estimate_m4(parse("x^4"), PhiInterval(0.0, 1.0, math.pi / 4))
 
     def test_reraises_the_error_of_its_grid(self):
         # f'''' = 6.5625 (x - 0.5)^-0.5 fails at the grid's midpoint
         with pytest.raises(EvalDomainError) as info:
             estimate_m4(parse("(x-0.5)^3.5"), PhiInterval(0.0, 1.0))
         assert str(info.value) == "zero raised to the power (-0.5+0j) in '(x - 0.5)^-0.5'"
+
+    # f'''' = 1.7e308 x (1 + i) + 6.5625 (x - 0.9)^-0.5: its modulus leaves the
+    # float range from x = 0.75 on, and the tape fails at the pole x = 0.9
+    OVERFLOW_THEN_POLE = "1.7e308/120*x^5*(1+sqrt(0-1)) + (x-0.9)^3.5"
+
+    def test_an_earlier_overflowing_modulus_comes_before_a_later_pole(self):
+        with pytest.raises(EvalDomainError, match="^zero raised"):
+            estimate_m4(parse("(x-0.9)^3.5"), PhiInterval(0.0, 1.0))
+        assert estimate_m4(parse(self.OVERFLOW_THEN_POLE), PhiInterval(0.0, 0.7)) < math.inf
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            estimate_m4(parse(self.OVERFLOW_THEN_POLE), PhiInterval(0.0, 1.0))
+
+    @pytest.mark.parametrize("values, error, message", [
+        ([1.0 + 0j, complex(1.5e308, 1.5e308)], OverflowError, "absolute value too large"),
+        ([1.0 + 0j, 2.0 + 0j], EvalDomainError, "^division by zero"),
+    ])
+    def test_the_sampler_raises_the_first_failure_of_a_point_by_point_pass(
+            self, monkeypatch, values, error, message):
+        # the grid fails at its third point; the modulus of 1.5e308*(1 + i)
+        # overflows at the second, before it
+        pole = EvalDomainError("division by zero", parse("1/x"))
+        monkeypatch.setattr(convexity, "evaluate_grid", lambda tape, zs: (values, pole))
+        with pytest.raises(error, match=message):
+            estimate_m4(parse("x"), PhiInterval(0.0, 1.0))
 
 
 _magnitudes = st.floats(min_value=0.0, max_value=50.0)

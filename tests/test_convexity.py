@@ -210,7 +210,8 @@ class TestOnePass:
                               samples=101)
         assert len(evaluated_points) == 101 + 2
 
-    @pytest.mark.parametrize("qs, samples", [((1.0, 0.5), 101), ((1.0, 2.0), 2)])
+    @pytest.mark.parametrize("qs, samples", [((1.0, 0.5), 101), ((1.0, 2.0), 2),
+                                             ((math.nan,), 11), ((1.0, math.inf), 11)])
     def test_invalid_arguments_raise_before_evaluating(self, evaluated_points, qs, samples):
         with pytest.raises(ValueError):
             certify_phi_convexity(parse("x^2"), PhiInterval(0.0, 1.0), qs, samples=samples)

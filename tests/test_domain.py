@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from simpbound import KERNEL_BREAKPOINTS, PhiInterval, integrate_01, kernel
 
@@ -62,6 +62,19 @@ class TestPhiInterval:
         iv = PhiInterval(a, a + width, phi)
         expected = t * iv.length
         assert abs(abs(iv.path_point(t) - a) - expected) <= 1e-12 * (1.0 + expected)
+
+    @given(
+        a=st.floats(min_value=-1e300, max_value=1e300),
+        b=st.floats(min_value=-1e300, max_value=1e300),
+        k=st.integers(0, 100),
+    )
+    def test_unrotated_path_point_is_the_real_grid_point(self, a, b, k):
+        # the fourth-derivative estimate samples a + t (b - a) through path_point
+        assume(a < b)
+        t = k / 100
+        point = PhiInterval(a, b).path_point(t)
+        assert (point.real, math.copysign(1.0, point.imag)) == (a + t * (b - a), 1.0)
+        assert point.imag == 0.0
 
 
 class TestKernel:

@@ -89,6 +89,8 @@ BOUND_ERRORS = [
     ((0.0, math.nan, 1.0, 1.0), "deriv_b must be finite and >= 0, got nan"),
     ((0.0, 0.0, 0.0, 1.0), "length must be positive, got 0.0"),
     ((0.0, 0.0, 1.0, 0.5), "q must be >= 1, got 0.5"),
+    ((1000.0, 1000.0, 1.0, math.inf), "q must be finite, got inf"),
+    ((0.0, 0.0, 1.0, math.nan), "q must be finite, got nan"),
 ]
 
 
