@@ -1,4 +1,8 @@
-"""Command-line front end: verify one configuration or sweep a grid.
+"""Command-line front end: verify one configuration or sweep a list of segments.
+
+A segment is one ``RunConfig``: one f on one [a, a + e^{i phi}(b - a)] with
+its own q list and tolerances.  ``sweep`` on the command line builds its
+segments as the grid of every (f, a, b, phi), each with the whole q list.
 
 Exit codes: 0 success, 1 identity failure or a dominance violation under a
 verified certificate, 2 invalid configuration (including expression syntax
@@ -52,7 +56,6 @@ from .report import (
 __all__ = [
     "RunConfig",
     "RunReport",
-    "SweepConfig",
     "SweepCell",
     "SweepSummary",
     "SweepReport",
@@ -162,7 +165,7 @@ def validate_config(config: RunConfig) -> PhiInterval:
     for name, tol in (("oracle", config.oracle_tol), ("identity", config.identity_tol)):
         if not (math.isfinite(tol) and tol > 0.0):
             raise ConfigError(f"{name} tolerance must be finite and positive, got {tol}")
-    if not config.oracle_tol * iv.length > 0.0:  # the path integral's tolerance scales by it
+    if not config.oracle_tol * abs(iv.chord) > 0.0:  # the path integral's tolerance scales by it
         raise ConfigError(f"oracle tolerance {config.oracle_tol} times the segment length "
                           f"{iv.length} underflows to 0")
     if not config.oracle_tol / abs(iv.chord) > 0.0:  # the kernel integral's, divided by it
@@ -217,17 +220,6 @@ def _theorem_rows(cert: ConvexityCertificate, length: float,
                  for name, bound in theorems if cert.q > 1.0 or name in ("T31", "T34"))
 
 
-class SweepConfig(NamedTuple):
-    expressions: tuple[str, ...]
-    a_values: tuple[float, ...]
-    b_values: tuple[float, ...]
-    phi_values: tuple[float, ...]
-    q_values: tuple[float, ...]
-    oracle_tol: float = DEFAULT_TOL
-    identity_tol: float = DEFAULT_IDENTITY_TOL
-    certificate_samples: int = DEFAULT_CERT_SAMPLES
-
-
 class SweepCell(NamedTuple):
     config: RunConfig
     report: Optional[RunReport]
@@ -252,29 +244,20 @@ class SweepReport(NamedTuple):
         return all(cell.report.passed for cell in self.cells if cell.report is not None)
 
 
-def cmd_sweep(config: SweepConfig) -> SweepReport:
-    """One cell per (f, a, b, phi, q); failing cells are recorded, not fatal.
+def cmd_sweep(segments: Sequence[RunConfig]) -> SweepReport:
+    """One cell per q of each segment, in order; failing cells are recorded, not fatal.
 
-    Each (f, a, b, phi) segment is verified once for the whole q list and
-    its report sliced into one cell per q.  When that run fails, the
-    segment's cells are run one by one, so each keeps its own error.
+    Each segment is verified once for its whole q list and its report
+    sliced into one cell per q.  When that run fails, the segment's cells
+    are run one by one, so each keeps its own error.
     """
-    for name, values in (("expression", config.expressions), ("a", config.a_values),
-                         ("b", config.b_values), ("phi", config.phi_values),
-                         ("q", config.q_values)):
-        if not values:
-            raise ConfigError(f"{name} list must be nonempty")
-
     cells: list[SweepCell] = []
-    for expression, a, b, phi in product(config.expressions, config.a_values,
-                                         config.b_values, config.phi_values):
-        segment = RunConfig(expression, a, b, phi, config.q_values, config.oracle_tol,
-                            config.identity_tol, config.certificate_samples)
+    for segment in segments:
         report, error = _attempt(segment)
         if report is not None:
             cells.extend(SweepCell(cell.config, cell, None)
                          for cell in map(report.cell, range(len(segment.qs))))
-        elif len(segment.qs) == 1:
+        elif len(segment.qs) <= 1:
             cells.append(SweepCell(segment, None, error))
         else:
             for q in segment.qs:
@@ -360,6 +343,8 @@ def _parse_float_list(text: str, name: str,
 
 
 def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--q", default=",".join(map(str, DEFAULT_Q_LIST)),
+                     help="comma-separated exponents q >= 1")
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="quadrature oracle tolerance (default 1e-11)")
     sub.add_argument("--identity-tol", type=float, default=DEFAULT_IDENTITY_TOL,
@@ -387,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--b", type=float, required=True, help="right endpoint")
     verify.add_argument("--phi", default="0",
                         help="rotation angle in radians, or 0, pi/6, pi/4, pi/3, pi/2")
-    verify.add_argument("--q", default="1,1.5,2,3,5",
-                        help="comma-separated exponents q >= 1")
     _add_common_arguments(verify)
 
     sweep = sub.add_parser("sweep", help="cartesian grid of configurations")
@@ -397,40 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--a", default="0", help="comma-separated left endpoints")
     sweep.add_argument("--b", default="1", help="comma-separated right endpoints")
     sweep.add_argument("--phi", default="0", help="comma-separated angles")
-    sweep.add_argument("--q", default="1,1.5,2,3,5", help="comma-separated exponents")
     _add_common_arguments(sweep)
 
     return parser
 
 
 def _verify_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        expression=args.expression,
-        a=args.a,
-        b=args.b,
-        phi=parse_phi(args.phi),
-        qs=_parse_float_list(args.q, "q"),
-        oracle_tol=args.tol,
-        identity_tol=args.identity_tol,
-        certificate_samples=args.samples,
-    )
+    return RunConfig(args.expression, args.a, args.b, parse_phi(args.phi),
+                     _parse_float_list(args.q, "q"), args.tol, args.identity_tol, args.samples)
 
 
-def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    return SweepConfig(
-        expressions=tuple(args.expressions),
-        a_values=_parse_float_list(args.a, "a"),
-        b_values=_parse_float_list(args.b, "b"),
-        phi_values=_parse_float_list(args.phi, "phi", parse_phi),
-        q_values=_parse_float_list(args.q, "q"),
-        oracle_tol=args.tol,
-        identity_tol=args.identity_tol,
-        certificate_samples=args.samples,
-    )
+def _sweep_segments(args: argparse.Namespace) -> list[RunConfig]:
+    """One segment per (f, a, b, phi) of the grid, each with the whole q list."""
+    axes = (_parse_float_list(args.a, "a"), _parse_float_list(args.b, "b"),
+            _parse_float_list(args.phi, "phi", parse_phi))
+    qs = _parse_float_list(args.q, "q")
+    return [RunConfig(expression, a, b, phi, qs, args.tol, args.identity_tol, args.samples)
+            for expression, a, b, phi in product(args.expressions, *axes)]
 
 
 # Options whose value may be a negative number or a list starting with one.
-NUMERIC_OPTIONS = ("--a", "--b", "--phi", "--q")
+NUMERIC_OPTIONS = ("--a", "--b", "--phi", "--q", "--tol", "--identity-tol")
 _NEGATIVE_VALUE = r"-[\d.]"
 
 
@@ -476,7 +446,7 @@ def _run_command(args: argparse.Namespace) -> int:
         if args.command == "verify":
             report = cmd_verify(_verify_config(args))
         else:
-            report = cmd_sweep(_sweep_config(args))
+            report = cmd_sweep(_sweep_segments(args))
     except (ConfigError, ParseError) as exc:
         print(f"simpbound: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,7 @@ from simpbound import (
     kernel_moment,
     parse,
 )
-from simpbound.cli import SweepConfig, cmd_sweep
+from simpbound.cli import RunConfig, cmd_sweep
 from simpbound.report import render_csv_sweep, render_json, sweep_json_doc
 
 CORPUS = ("x^2", "x^3", "x^4", "exp(x)", "sin(x)", "log(x + 2)")
@@ -170,16 +170,11 @@ def test_criterion_7_violation_detection():
 
 
 def test_criterion_8_sweep_determinism():
-    config = SweepConfig(
-        expressions=("x^2", "exp(x)", "sin(x)"),
-        a_values=(0.0,),
-        b_values=(1.0, 2.0),
-        phi_values=(0.0, math.pi / 4.0),
-        q_values=(1.0, 2.0),
-        certificate_samples=101,
-    )
-    first = cmd_sweep(config)
-    second = cmd_sweep(config)
+    segments = [RunConfig(expression, 0.0, b, phi, (1.0, 2.0), certificate_samples=101)
+                for expression in ("x^2", "exp(x)", "sin(x)")
+                for b in (1.0, 2.0) for phi in (0.0, math.pi / 4.0)]
+    first = cmd_sweep(segments)
+    second = cmd_sweep(segments)
     json_equal = render_json(sweep_json_doc(first)) == render_json(sweep_json_doc(second))
     csv_equal = render_csv_sweep(first) == render_csv_sweep(second)
     ok = json_equal and csv_equal

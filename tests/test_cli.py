@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,6 @@ from simpbound import cli
 from simpbound.cli import (
     ConfigError,
     RunConfig,
-    SweepConfig,
     cmd_sweep,
     cmd_verify,
     main,
@@ -19,6 +19,7 @@ from simpbound.report import (
     render_csv_sweep,
     render_csv_verify,
     render_json,
+    render_table_sweep,
     sweep_json_doc,
     verify_json_doc,
 )
@@ -28,6 +29,12 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _grid(expressions, a_values, b_values, phi_values, qs, **settings):
+    """The segments ``sweep`` builds on the command line: one per (f, a, b, phi)."""
+    return [RunConfig(expression, a, b, phi, qs, **settings)
+            for expression, a, b, phi in product(expressions, a_values, b_values, phi_values)]
 
 
 class TestExitCodes:
@@ -131,7 +138,11 @@ class TestExitCodes:
         (["--f", "x", "--q", "1,abc"],
          "invalid q list '1,abc': could not convert string to float: 'abc'"),
         (["--f", "1e999", "--q", "1"], "number out of range: '1e999' (offset 0)"),
-    ], ids=["samples", "q-list", "literal"])
+        (["--f", "x", "--tol", "-1e-3"],
+         "oracle tolerance must be finite and positive, got -0.001"),
+        (["--f", "x", "--identity-tol", "-1e-3"],
+         "identity tolerance must be finite and positive, got -0.001"),
+    ], ids=["samples", "q-list", "literal", "negative-tol", "negative-identity-tol"])
     def test_option_errors_keep_their_text(self, capsys, argv, message):
         code, out, err = _run(capsys, ["verify", *argv, "--a", "0", "--b", "1"])
         assert (code, out, err) == (2, "", f"simpbound: {message}\n")
@@ -178,8 +189,12 @@ class TestExitCodes:
          "oracle tolerance 5e-324 divided by the segment length 2.0 underflows to 0"),
         ("0", "1e5", "0", "1e-320",
          "oracle tolerance 1e-320 divided by the segment length 100000.0 underflows to 0"),
+        # the path integral scales by |chord|, one ulp below b - a at pi/4
+        ("0", "0.011111111111111112", "pi/4", "2.2e-322",
+         "oracle tolerance 2.2e-322 times the segment length 0.011111111111111112 underflows to 0"),
     ], ids=["endpoint", "order", "phi", "length-overflows", "tolerance-underflows",
-            "kernel-tolerance-underflows", "kernel-tolerance-underflows-on-a-long-segment"])
+            "kernel-tolerance-underflows", "kernel-tolerance-underflows-on-a-long-segment",
+            "tolerance-underflows-on-the-rotated-chord"])
     def test_segment_errors_keep_their_text(self, capsys, a, b, phi, tol, message):
         code, _, err = _run(capsys, ["verify", "--f", "x", "--a", a, "--b", b, "--phi", phi,
                                      "--tol", tol])
@@ -295,15 +310,10 @@ class TestVerifyPipeline:
 
 class TestSweep:
     def test_cardinality(self):
-        config = SweepConfig(
-            expressions=("x", "x^2", "x^3", "2*x", "x + 1"),
-            a_values=(0.0,),
-            b_values=(1.0,),
-            phi_values=(0.0, math.pi / 6, math.pi / 4, math.pi / 2),
-            q_values=(1.0, 2.0, 3.0),
-            certificate_samples=51,
-        )
-        sweep = cmd_sweep(config)
+        segments = _grid(("x", "x^2", "x^3", "2*x", "x + 1"), (0.0,), (1.0,),
+                         (0.0, math.pi / 6, math.pi / 4, math.pi / 2), (1.0, 2.0, 3.0),
+                         certificate_samples=51)
+        sweep = cmd_sweep(segments)
         assert sweep.summary.cells == 60
         assert sweep.summary.errors == 0
         doc = sweep_json_doc(sweep)
@@ -324,15 +334,8 @@ class TestSweep:
         assert code == 2
 
     def test_failing_cell_recorded_not_fatal(self):
-        config = SweepConfig(
-            expressions=("1/(x-1)", "x^2"),
-            a_values=(0.0,),
-            b_values=(2.0,),
-            phi_values=(0.0,),
-            q_values=(2.0,),
-            certificate_samples=51,
-        )
-        sweep = cmd_sweep(config)
+        sweep = cmd_sweep(_grid(("1/(x-1)", "x^2"), (0.0,), (2.0,), (0.0,), (2.0,),
+                                certificate_samples=51))
         assert sweep.summary.cells == 2
         assert sweep.summary.errors == 1
         assert sweep.cells[0].report is None
@@ -384,15 +387,8 @@ class TestSweep:
         assert {line.split(",")[1] for line in out.splitlines()[1:]} == {"-0.001", "-0.5"}
 
     def test_summary_fields(self):
-        config = SweepConfig(
-            expressions=("x^2", "exp(x)"),
-            a_values=(0.0,),
-            b_values=(1.0,),
-            phi_values=(0.0, math.pi / 4),
-            q_values=(2.0,),
-            certificate_samples=51,
-        )
-        summary = cmd_sweep(config).summary
+        summary = cmd_sweep(_grid(("x^2", "exp(x)"), (0.0,), (1.0,), (0.0, math.pi / 4), (2.0,),
+                                  certificate_samples=51)).summary
         assert summary.cells == 4
         assert summary.max_residual <= 1e-8
         assert summary.verified_violations == 0
@@ -418,9 +414,8 @@ class TestSweepSegments:
 
     @staticmethod
     def _sweep(expressions, b, qs):
-        return cmd_sweep(SweepConfig(expressions=expressions, a_values=(0.0,), b_values=(b,),
-                                     phi_values=(0.0, math.pi / 4), q_values=qs,
-                                     certificate_samples=51))
+        return cmd_sweep(_grid(expressions, (0.0,), (b,), (0.0, math.pi / 4), qs,
+                               certificate_samples=51))
 
     def test_one_run_per_segment(self, verify_calls):
         sweep = self._sweep(("x^2", "sin(x)"), 1.0, (1.0, 2.0, 3.0))
@@ -447,6 +442,34 @@ class TestSweepSegments:
         sweep = self._sweep(("log(x)",), 2.0, (2.0,))
         assert verify_calls == [(2.0,)] * 2
         assert [cell.error for cell in sweep.cells] == ["log of 0 in 'log(x)'"] * 2
+
+    def test_segments_off_any_grid_keep_their_order_and_settings(self, verify_calls):
+        # their q lists and oracle tolerances differ, so no (f, a, b, phi, q) grid holds both
+        segments = [RunConfig("exp(sin(x))", 0.0, 1.5, math.pi / 4, (2.0, 1.0),
+                              certificate_samples=51),
+                    RunConfig("x^3 - x", 0.5, 2.0, 0.0, (3.0,), oracle_tol=1e-9,
+                              certificate_samples=51)]
+        sweep = cmd_sweep(segments)
+        assert verify_calls == [(2.0, 1.0), (3.0,)]
+        assert [cell.config for cell in sweep.cells] == [
+            segments[0]._replace(qs=(2.0,)), segments[0]._replace(qs=(1.0,)), segments[1]]
+        for cell in sweep.cells:
+            alone = cmd_verify(cell.config)
+            assert render_json(verify_json_doc(cell.report)) == render_json(verify_json_doc(alone))
+            assert render_csv_verify(cell.report) == render_csv_verify(alone)
+
+    def test_no_segments_give_an_empty_report(self):
+        sweep = cmd_sweep([])
+        assert (sweep.cells, sweep.summary.cells, sweep.passed) == ((), 0, True)
+        assert json.loads(render_json(sweep_json_doc(sweep)))["runs"] == []
+        assert render_csv_sweep(sweep).count("\n") == 1  # the header alone
+        assert "  cells                0" in render_table_sweep(sweep).splitlines()
+
+    def test_a_segment_without_q_is_one_failed_cell(self, verify_calls):
+        sweep = cmd_sweep([RunConfig("x", 0.0, 1.0, qs=())])
+        assert verify_calls == [()]
+        assert [(cell.config.qs, cell.error) for cell in sweep.cells] == [
+            ((), "q list must be nonempty")]
 
 
 class TestOneCertificatePass:
@@ -503,9 +526,7 @@ class TestOneCertificatePass:
         assert err.startswith(f"simpbound: {message}")
 
     def test_sweep_cells_keep_their_own_errors(self):
-        sweep = cmd_sweep(SweepConfig(expressions=(self.POLE[1],), a_values=(0.0,),
-                                      b_values=(1.0,), phi_values=(0.0,),
-                                      q_values=(1.0, 400.0)))
+        sweep = cmd_sweep([RunConfig(self.POLE[1], 0.0, 1.0, 0.0, (1.0, 400.0))])
         first, second = (cell.error for cell in sweep.cells)
         assert first.startswith("division by zero")
         assert second.startswith("numerical overflow")
@@ -551,15 +572,8 @@ class TestFloat17:
 
 
 def test_csv_sweep_covers_all_reported_cells():
-    config = SweepConfig(
-        expressions=("x^2",),
-        a_values=(0.0,),
-        b_values=(1.0,),
-        phi_values=(0.0, math.pi / 2),
-        q_values=(1.0, 2.0),
-        certificate_samples=51,
-    )
-    sweep = cmd_sweep(config)
+    sweep = cmd_sweep(_grid(("x^2",), (0.0,), (1.0,), (0.0, math.pi / 2), (1.0, 2.0),
+                            certificate_samples=51))
     lines = render_csv_sweep(sweep).splitlines()
     # per phi=0 cell: q=1 -> 2+1 rows, q=2 -> 4+1 rows; rotated cells drop classical
     expected_rows = (2 + 1) + (4 + 1) + 2 + 4

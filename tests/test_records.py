@@ -8,20 +8,19 @@ import pickle
 import pytest
 
 from simpbound import BoundInputs, PhiInterval, cli, integrate_01, parse
-from simpbound.cli import RunConfig, SweepConfig, cmd_sweep, cmd_verify
+from simpbound.cli import RunConfig, cmd_sweep, cmd_verify
 
 
 def _records():
     """One instance of every record type, each named by its type."""
     report = cmd_verify(RunConfig("x^4 + sin(x)", 0.0, 1.0, qs=(1.0, 2.0), certificate_samples=11))
-    sweep_config = SweepConfig(("x^2",), (0.0,), (1.0,), (0.0,), (2.0,), certificate_samples=11)
-    sweep = cmd_sweep(sweep_config)
+    sweep = cmd_sweep([RunConfig("x^2", 0.0, 1.0, 0.0, (2.0,), certificate_samples=11)])
     tree = parse("-exp(x) + 2")
     records = [tree, tree.left, tree.left.arg, tree.left.arg.arg, tree.right,
                integrate_01(lambda t: t), report.identity, report.certificates[0],
                BoundInputs(1.0, 2.0, 3.0, q=2.0), report.rows_per_q[0][0],
                PhiInterval(0.0, 2.0, phi=math.pi / 4), report.config, report,
-               sweep_config, sweep.cells[0], sweep.summary, sweep]
+               sweep.cells[0], sweep.summary, sweep]
     return {type(record).__name__: record for record in records}
 
 
@@ -36,7 +35,7 @@ def test_every_record_type_is_covered():
     assert sorted(RECORDS) == sorted([
         "Binary", "Unary", "Var", "Const", "QuadratureResult", "IdentityReport",
         "ConvexityCertificate", "BoundInputs", "BoundReport", "PhiInterval", "RunConfig",
-        "RunReport", "SweepConfig", "SweepCell", "SweepSummary", "SweepReport"])
+        "RunReport", "SweepCell", "SweepSummary", "SweepReport"])
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
