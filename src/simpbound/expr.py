@@ -28,13 +28,15 @@ one tree at many points builds its tape once.  Building and running the
 tape never recurse.  Each instruction carries the one function that does
 its node's arithmetic (an ``operator`` or ``cmath`` function, or
 :func:`_power`) and whether its value is checked for finiteness, and both
-ways of running a tape use them: :func:`evaluate` at one point and
-:func:`evaluate_grid` over a list of points.  A power by a constant
-integer from 1 to :data:`_MAX_INT_POWER` is planned at build time as the
-multiplications that :func:`_int_power` would do, one instruction each.
-Instructions run in the order in which a recursive walk of the tree would
-complete them, so values and error messages are identical to such a walk,
-and every failure is an :class:`EvalDomainError` naming the subterm at
+ways of running a tape call it the same way, as ``fn(x)`` or ``fn(x, y)``:
+:func:`evaluate` at one point and :func:`evaluate_grid` over a list of
+points.  A power by a constant integer from 1 to :data:`_MAX_INT_POWER` is
+planned at build time as the multiplications that :func:`_int_power` does
+at run time, one instruction each; both take their order from
+:func:`_square_and_multiply`.  Instructions run in the order in which a
+recursive walk of the tree would complete them, so values and error
+messages are identical to such a walk, and every failure is an
+:class:`EvalDomainError` that :func:`evaluate` raises naming the subterm at
 which it happened.
 
 :func:`evaluate_grid` runs each instruction as one ``map`` over the list,
@@ -54,7 +56,6 @@ import cmath
 import math
 import re
 import struct
-from itertools import repeat
 from operator import add, mul, neg, sub, truediv
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -95,6 +96,10 @@ class EvalDomainError(Exception):
     def __init__(self, message: str, node: "Expr"):
         super().__init__(f"{message} in '{to_text(node)}'")
         self.node = node
+
+
+class _PowerError(ArithmeticError):
+    """A power undefined at its operands; the message names why, not where."""
 
 
 class Const(NamedTuple):
@@ -220,18 +225,17 @@ class _Parser:
         return node, depth
 
     def parse_expr(self) -> tuple[Expr, int]:
-        node, depth = self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            _, op, at = self.advance()
-            right, right_depth = self.parse_term()
-            node, depth = self.nest(Binary(op, node, right), at, depth, right_depth)
-        return node, depth
+        return self.parse_chain("+-", self.parse_term)
 
     def parse_term(self) -> tuple[Expr, int]:
-        node, depth = self.parse_unary()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+        return self.parse_chain("*/", self.parse_unary)
+
+    def parse_chain(self, ops: str, operand: Callable[[], tuple[Expr, int]]) -> tuple[Expr, int]:
+        """``operand (op operand)*`` for the operators in ``ops``, left-associative."""
+        node, depth = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
             _, op, at = self.advance()
-            right, right_depth = self.parse_unary()
+            right, right_depth = operand()
             node, depth = self.nest(Binary(op, node, right), at, depth, right_depth)
         return node, depth
 
@@ -307,19 +311,20 @@ class Tape:
     An instruction ``(slot, fn, a, b, node, checked)`` stores ``fn``
     applied to slots ``a`` and ``b`` (``b`` is ``None`` for a unary node) in
     ``slot``; ``fn`` is the ``operator`` or ``cmath`` function of the node,
-    or :func:`_power`, which also takes the node.  :func:`evaluate` calls
-    the same ``fn`` at one point and :func:`evaluate_grid` over a list of
-    points, one instruction at a time.  ``checked`` says whether
-    :func:`evaluate` raises when the value is not finite: it is off for a
-    negation, which keeps a finite value finite.
+    or :func:`_power`, and takes the slots' values alone.  :func:`evaluate`
+    calls the same ``fn`` at one point and :func:`evaluate_grid` over a list
+    of points, one instruction at a time; ``node`` is only for naming the
+    subterm in an error.  ``checked`` says whether :func:`evaluate` raises
+    when the value is not finite: it is off for a negation, which keeps a
+    finite value finite.
 
     A power by a constant integer ``1 <= k <=`` :data:`_MAX_INT_POWER` is
-    emitted as :func:`_int_power`'s own square-and-multiply sequence of
-    ``mul`` instructions, in its order (``result * base``, then
-    ``base * base``), starting from the interned constant 1.0.  Only the
-    last one is checked and stores the power's slot; the intermediate ones
-    store fresh, uninterned slots, so values and error messages are those
-    of :func:`_power`.  Any other power calls :func:`_power`.
+    emitted as the ``mul`` instructions of :func:`_square_and_multiply`,
+    the order :func:`_int_power` multiplies in, starting from the interned
+    constant 1.0.  Only the last one is checked and stores the power's
+    slot; the intermediate ones store fresh, uninterned slots, so values
+    and error messages are those of :func:`_power`.  Any other power calls
+    :func:`_power`.
 
     ``last_use`` maps each slot read by an instruction to the index of the
     last instruction that reads it, and ``watched`` holds the slots whose
@@ -369,7 +374,7 @@ class Tape:
             if slot is None:
                 if kind is Binary:
                     fn = _OPS[node.op]
-                    exponent = self.slots[right] if fn is _power else None  # None unless constant
+                    exponent = self.slots[right] if node.op == "^" else None  # None unless constant
                     k = None if exponent is None else _small_int(exponent)
                     if k is not None and k >= 1:
                         # _int_power's multiplications, from an interned 1.0 slot; the
@@ -377,12 +382,9 @@ class Tape:
                         if _ONE_KEY not in interned:
                             interned[_ONE_KEY] = len(self.slots)
                             self.slots.append(complex(1.0))
-                        fn, left, right = mul, interned[_ONE_KEY], left
-                        while k > 1:
-                            if k & 1:
-                                left = self._emit(mul, left, right, node, False)
-                            right = self._emit(mul, right, right, node, False)
-                            k >>= 1
+                        fn, (left, right) = mul, _square_and_multiply(
+                            interned[_ONE_KEY], left, k,
+                            lambda x, y: self._emit(mul, x, y, node, False))
                     slot = self._emit(fn, left, right, node, True)
                 elif kind is Unary:
                     slot = self._emit(_OPS[node.op], arg, None, node, node.op != "neg")
@@ -407,29 +409,24 @@ class Tape:
         return slot
 
 
-def evaluate(e: Union[Expr, Tape], z: complex) -> complex:
-    """Evaluate a tree, or its :class:`Tape`, at a complex point.
+def evaluate(tape: Tape, z: complex) -> complex:
+    """Evaluate a :class:`Tape` at a complex point.
 
-    A tree is compiled to a tape first; callers that evaluate one tree at
-    many points build the tape once.  Every failure is an
-    :class:`EvalDomainError` naming the subterm at which a sub-operation was
-    undefined (log of 0, division by zero, overflow, ...): an exception of
-    an instruction's builtin is translated here, and a power raises its own.
+    Every failure is an :class:`EvalDomainError` naming the subterm at which
+    a sub-operation was undefined (log of 0, division by zero, overflow,
+    ...): an instruction's exception is translated here, and a power's
+    message says which way it failed.
     """
-    tape = e if type(e) is Tape else Tape(e)
     v = tape.slots.copy()
     v[0] = complex(z)
     isfinite = cmath.isfinite
     for slot, fn, a, b, node, checked in tape.code:
         try:
-            if b is None:
-                out = fn(v[a])
-            elif fn is _power:
-                out = _power(v[a], v[b], node)
-            else:
-                out = fn(v[a], v[b])
+            out = fn(v[a]) if b is None else fn(v[a], v[b])
         except (ArithmeticError, ValueError) as exc:
-            if fn is truediv:
+            if type(exc) is _PowerError:
+                message = str(exc)
+            elif fn is truediv:
                 message = "division by zero"
             elif fn is cmath.log and v[a] == 0:
                 message = "log of 0"
@@ -472,13 +469,9 @@ def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional
     last_use, watched = tape.last_use, tape.watched
     isfinite = cmath.isfinite
     try:
-        for i, (slot, fn, a, b, node, _) in enumerate(tape.code):
-            if b is None:
-                out = list(map(fn, v[a]))  # log of 0 raises
-            elif fn is _power:
-                out = list(map(_power, v[a], v[b], repeat(node)))
-            else:
-                out = list(map(fn, v[a], v[b]))  # a zero divisor raises
+        for i, (slot, fn, a, b, _, _) in enumerate(tape.code):
+            # log of 0, a zero divisor or a failing power raises
+            out = list(map(fn, v[a])) if b is None else list(map(fn, v[a], v[b]))
             if slot in watched and not isfinite(sum(out)):
                 break
             v[slot] = out
@@ -488,7 +481,7 @@ def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional
                 v[b] = None
         else:
             return v[-1], None
-    except (ArithmeticError, ValueError, EvalDomainError):
+    except (ArithmeticError, ValueError):
         pass
     # something failed or overflowed at some point: find it point by point
     return _evaluate_points(tape, points)
@@ -516,39 +509,57 @@ def _small_int(exponent: complex) -> Optional[int]:
     return None
 
 
-def _power(base: complex, exponent: complex, node: Expr) -> complex:
+def _power(base: complex, exponent: complex) -> complex:
+    """``base`` to the power ``exponent``: an integer one by multiplication, any
+    other as ``exp(exponent * log(base))``.
+
+    Raises :class:`_PowerError` where the power is undefined or overflows;
+    :func:`evaluate` names the subterm.
+    """
     n = _small_int(exponent)
     if n is not None:
         if base == 0 and n < 0:
-            raise EvalDomainError("zero raised to a negative power", node)
+            raise _PowerError("zero raised to a negative power")
         try:
             return _int_power(base, n)
-        except ZeroDivisionError as exc:  # base**|n| underflowed to zero
-            raise EvalDomainError("underflow in negative power", node) from exc
+        except ZeroDivisionError:  # base**|n| underflowed to zero
+            raise _PowerError("underflow in negative power") from None
     if base == 0:
         if exponent.imag == 0 and exponent.real > 0:
             return complex(0.0)
-        raise EvalDomainError(f"zero raised to the power {exponent!r}", node)
+        raise _PowerError(f"zero raised to the power {exponent!r}")
     try:
         return cmath.exp(exponent * cmath.log(base))
-    except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
-        raise EvalDomainError("overflow in power", node) from exc
+    except (OverflowError, ValueError):  # ValueError: an infinite imaginary part
+        raise _PowerError("overflow in power") from None
 
 
 def _int_power(base: complex, n: int) -> complex:
     if n < 0:
         return 1.0 / _int_power(base, -n)
-    result = complex(1.0)
-    while n:
+    if n == 0:
+        return complex(1.0)
+    return mul(*_square_and_multiply(complex(1.0), base, n, mul))
+
+
+def _square_and_multiply(result, base, n: int, times: Callable):
+    """The two factors of the last product of ``result * base**n``, for ``n >= 1``.
+
+    Low bit first: for each bit of ``n`` but the top one, ``result =
+    times(result, base)`` if the bit is set, then ``base = times(base,
+    base)``; the top bit's product ``times(result, base)`` is left to the
+    caller.  The last bits of a power depend on this order, so the tape's
+    planned powers and :func:`_int_power` both take it from here.
+    """
+    while n > 1:
         if n & 1:
-            result *= base
+            result = times(result, base)
+        base = times(base, base)
         n >>= 1
-        if n:
-            base *= base
-    return result
+    return result, base
 
 
-# The function a Tape instruction calls for each operator; a power also takes its node.
+# The function a Tape instruction calls for each operator.
 _OPS: dict[str, Callable] = {
     "neg": neg, **_UNARY_FN, "+": add, "-": sub, "*": mul, "/": truediv, "^": _power}
 

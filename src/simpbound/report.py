@@ -60,26 +60,21 @@ def _write_json(value: Any, indent: int, out: list[str]) -> None:
         out.append(str(value))
     elif isinstance(value, float):
         out.append(float17(value))
-    elif isinstance(value, dict):
+    elif isinstance(value, (dict, list, tuple)):
+        is_object = isinstance(value, dict)
+        brackets = "{}" if is_object else "[]"
         if not value:
-            out.append("{}")
+            out.append(brackets)
             return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {_json.dumps(key)}: ")
-            _write_json(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
+        out.append(brackets[0] + "\n")
+        for i, item in enumerate(value):  # an object's keys, or an array's items
             out.append(pad + "  ")
+            if is_object:
+                out.append(f"{_json.dumps(item)}: ")
+                item = value[item]
             _write_json(item, indent + 1, out)
             out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
+        out.append(pad + brackets[1])
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -176,21 +171,21 @@ def sweep_json_doc(sweep) -> dict:
 # ---------------------------------------------------------------------------
 # CSV
 
+def _csv_cell(value: Any) -> str:
+    """A CSV cell: text as it is, a flag as true/false, a missing value empty, a number float17."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else float17(value)
+
+
 def _csv_rows(report) -> list[list[str]]:
+    """One row per bound: the segment of the config, then the bound row's JSON fields."""
     cfg = report.config
-    prefix = [cfg.expression, float17(cfg.a), float17(cfg.b), float17(cfg.phi)]
-    rows = []
-    for row in report.all_rows():
-        rows.append(prefix + [
-            row.theorem,
-            "" if row.q is None else float17(row.q),
-            float17(row.bound),
-            float17(row.actual),
-            float17(row.slack),
-            "true" if row.dominant else "false",
-            row.certificate_status,
-        ])
-    return rows
+    prefix = [_csv_cell(value) for value in (cfg.expression, cfg.a, cfg.b, cfg.phi)]
+    return [prefix + [_csv_cell(value) for value in _bound_doc(row).values()]
+            for row in report.all_rows()]
 
 
 def _write_csv(rows: list[list[str]]) -> str:

@@ -60,7 +60,7 @@ class TestCertify:
         (cert,) = certify_phi_convexity(f, iv, (2.0,))
         assert cert.status == VERIFIED
         # strictly convex e^{2t}: interior sits strictly below the chord
-        fp = differentiate(f)
+        fp = Tape(differentiate(f))
         chord_mid = 0.5 * (abs(evaluate(fp, 0j)) ** 2 + abs(evaluate(fp, 1 + 0j)) ** 2)
         assert chord_mid - abs(evaluate(fp, 0.5 + 0j)) ** 2 > 0.1
 
