@@ -181,7 +181,10 @@ def classical_bound(m4: float, length: float) -> float:
         raise ValueError(f"m4 must be >= 0, got {m4}")
     if not length > 0.0:
         raise ValueError(f"length must be positive, got {length}")
-    return m4 * length**4 / 2880.0
+    try:
+        return m4 * length**4 / 2880.0
+    except OverflowError:
+        raise OverflowError(f"(b-a)^4 out of range: b-a = {length!r}") from None
 
 
 def estimate_m4(f: Expr, iv: PhiInterval) -> float:

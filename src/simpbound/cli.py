@@ -401,7 +401,8 @@ def _sweep_segments(args: argparse.Namespace) -> list[RunConfig]:
 
 # Options whose value may be a negative number or a list starting with one.
 NUMERIC_OPTIONS = ("--a", "--b", "--phi", "--q", "--tol", "--identity-tol")
-_NEGATIVE_VALUE = r"-[\d.]"
+# A negative number as float() reads it: a digit or a dot, or inf, infinity or nan in any case.
+_NEGATIVE_VALUE = r"-(?:[\d.]|(?i:infinity|inf|nan)\b)"
 
 
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:
@@ -409,7 +410,8 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
 
     argparse takes a separate argument that starts with ``-`` for an option
     unless it looks like a plain negative number, which rules out scientific
-    notation, comma lists and expressions such as ``-x^2``.
+    notation, comma lists, ``-inf``, ``-nan`` and expressions such as
+    ``-x^2``.
     """
     out: list[str] = []
     for arg in argv:

@@ -82,6 +82,18 @@ def path_moduli(tape: Tape, iv: PhiInterval,
             raise error
 
 
+def _powers(name: str, modulus: float, qs: Sequence[float], where: str = "") -> list[float]:
+    """``modulus ** q`` for each q; the first q out of range raises an OverflowError naming it."""
+    powers = []
+    for q in qs:
+        try:
+            powers.append(modulus ** q)
+        except OverflowError:
+            raise OverflowError(f"{name}^q out of range{where}: "
+                                f"{name} = {modulus!r}, q = {q!r}") from None
+    return powers
+
+
 def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
                           samples: int = DEFAULT_CERT_SAMPLES) -> tuple[ConvexityCertificate, ...]:
     """Compare |f'(path(t))|^q against the endpoint chord on a uniform grid.
@@ -91,9 +103,10 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
     decide its status: ``violated`` iff that margin drops below
     ``-DEFAULT_CERT_TOL``.  The error raised is the first that a
     point-by-point pass would meet: the powers at a and b, then per path
-    point its evaluation and its power for each q.  Fewer than 3 samples,
-    or a q that is not finite or below 1, raise ``ValueError`` before f'
-    is taken.
+    point its evaluation and its power for each q.  A power beyond the
+    float range raises an ``OverflowError`` naming it, q, the modulus and,
+    on the path, t.  Fewer than 3 samples, or a q that is not finite or
+    below 1, raise ``ValueError`` before f' is taken.
     """
     if samples < 3:
         raise ValueError(f"need at least 3 samples, got {samples}")
@@ -104,14 +117,19 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
             raise ValueError(f"q must be >= 1, got {q}")
     fp = Tape(differentiate(f))
     deriv_a = abs(evaluate(fp, complex(iv.a)))
-    at_a = [deriv_a ** q for q in qs]
+    at_a = _powers("|f'(a)|", deriv_a, qs)
     deriv_b = abs(evaluate(fp, complex(iv.b)))
-    at_b = [deriv_b ** q for q in qs]
+    at_b = _powers("|f'(b)|", deriv_b, qs)
     worst = [(math.inf, 0.0)] * len(qs)  # (margin, t) per q
     for ts, moduli in path_moduli(fp, iv, samples):
         for j, (q, chord_a, chord_b) in enumerate(zip(qs, at_a, at_b)):
-            margins = [(1.0 - t) * chord_a + t * chord_b - value ** q  # chord - value
-                       for t, value in zip(ts, moduli)]
+            try:
+                margins = [(1.0 - t) * chord_a + t * chord_b - value ** q  # chord - value
+                           for t, value in zip(ts, moduli)]
+            except OverflowError:  # name the chunk's first point whose power overflows
+                for t, value in zip(ts, moduli):
+                    _powers("|f'(path(t))|", value, qs, f" at t = {t!r}")
+                raise
             low = min(margins)
             if low < worst[j][0]:  # strict: the first of equal margins stays the worst
                 worst[j] = (low, ts[margins.index(low)])

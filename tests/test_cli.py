@@ -15,6 +15,8 @@ from simpbound.cli import (
 )
 from simpbound.identity import IdentityReport
 from simpbound.report import (
+    CSV_COLUMNS,
+    _bound_doc,
     float17,
     render_csv_sweep,
     render_csv_verify,
@@ -91,6 +93,20 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,message", [
+        (["--f", "exp(x)", "--a", "0", "--b", "10", "--q", "400"],
+         "|f'(b)|^q out of range: |f'(b)| = 22026.465794806718, q = 400.0"),
+        # |cos(1 + 2i)| = 3.67 at the end of the path, whose |f'| is largest there
+        (["--f", "sin(x)", "--a", "1", "--b", "3", "--phi", "pi/2", "--q", "600"],
+         "|f'(path(t))|^q out of range at t = 1.0: |f'(path(t))| = 3.6668846449997132, "
+         "q = 600.0"),
+        (["--f", "x", "--a", "0", "--b", "1e100", "--q", "1"], "(b-a)^4 out of range: b-a = 1e+100"),
+    ], ids=["endpoint", "path-point", "classical"])
+    def test_an_overflowing_power_is_named(self, capsys, argv, message):
+        code, out, err = _run(capsys, ["verify", *argv, "--samples", "11"])
+        assert (code, out) == (3, "")
+        assert err == f"simpbound: numerical overflow: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
         (["--f", "exp(x)", "--a", "0", "--b", "700"], "CLASSICAL bound is inf"),
         (["--f", "1e308*x", "--a", "0", "--b", "1.7"], "identity Simpson functional is (inf+nanj)"),
         (["--f", "x", "--a", "0", "--b", "1e308"],
@@ -142,7 +158,14 @@ class TestExitCodes:
          "oracle tolerance must be finite and positive, got -0.001"),
         (["--f", "x", "--identity-tol", "-1e-3"],
          "identity tolerance must be finite and positive, got -0.001"),
-    ], ids=["samples", "q-list", "literal", "negative-tol", "negative-identity-tol"])
+        # -inf, -infinity and -nan reach the check in any case, as inf and nan do
+        (["--f", "x", "--tol", "-inf"], "oracle tolerance must be finite and positive, got -inf"),
+        (["--f", "x", "--identity-tol", "-NaN"],
+         "identity tolerance must be finite and positive, got nan"),
+        (["--f", "x", "--q", "-inf"], "every q must be finite and >= 1, got -inf"),
+        (["--f", "x", "--q", "-Infinity,2"], "every q must be finite and >= 1, got -inf"),
+    ], ids=["samples", "q-list", "literal", "negative-tol", "negative-identity-tol",
+            "minus-inf-tol", "minus-nan-identity-tol", "minus-inf-q", "minus-infinity-q-list"])
     def test_option_errors_keep_their_text(self, capsys, argv, message):
         code, out, err = _run(capsys, ["verify", *argv, "--a", "0", "--b", "1"])
         assert (code, out, err) == (2, "", f"simpbound: {message}\n")
@@ -178,6 +201,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("a,b,phi,tol,message", [
         ("0", "inf", "0", "1e-11", "interval endpoints must be finite"),
+        ("-inf", "1", "0", "1e-11", "interval endpoints must be finite"),
+        ("0", "1", "-INF", "1e-11", "phi must lie in [0, pi/2], got -inf"),
         ("2", "1", "0", "1e-11", "need a < b, got a=2.0, b=1.0"),
         ("0", "1", "2.0", "1e-11", "phi must lie in [0, pi/2], got 2.0"),
         ("-1e308", "1e308", "0", "1e-11", "segment length b - a must be finite, got inf"),
@@ -192,7 +217,7 @@ class TestExitCodes:
         # the path integral scales by |chord|, one ulp below b - a at pi/4
         ("0", "0.011111111111111112", "pi/4", "2.2e-322",
          "oracle tolerance 2.2e-322 times the segment length 0.011111111111111112 underflows to 0"),
-    ], ids=["endpoint", "order", "phi", "length-overflows", "tolerance-underflows",
+    ], ids=["endpoint", "minus-inf-endpoint", "minus-inf-phi", "order", "phi", "length-overflows", "tolerance-underflows",
             "kernel-tolerance-underflows", "kernel-tolerance-underflows-on-a-long-segment",
             "tolerance-underflows-on-the-rotated-chord"])
     def test_segment_errors_keep_their_text(self, capsys, a, b, phi, tol, message):
@@ -300,6 +325,11 @@ class TestVerifyPipeline:
         first = lines[1].split(",")
         assert first[4] == "T31"
         assert float(first[6]) == report.bounds[0].bound
+
+    def test_csv_columns_after_the_segment_are_the_bound_fields(self):
+        report = cmd_verify(_quick_config())
+        for row in report.all_rows():
+            assert CSV_COLUMNS[4:] == tuple(_bound_doc(row))
 
     def test_csv_rows_without_classical_when_rotated(self):
         report = cmd_verify(_quick_config(phi=math.pi / 2))

@@ -29,21 +29,30 @@ def reference_certify(f, iv, q, samples=DEFAULT_CERT_SAMPLES, tol=DEFAULT_CERT_T
         raise ValueError(f"q must be >= 1, got {q}")
     fp = Tape(differentiate(f))
     deriv_a = abs(evaluate(fp, complex(iv.a)))
-    at_a = deriv_a ** q
+    at_a = _power("|f'(a)|", deriv_a, q)
     deriv_b = abs(evaluate(fp, complex(iv.b)))
-    at_b = deriv_b ** q
+    at_b = _power("|f'(b)|", deriv_b, q)
     worst = math.inf
     worst_t = 0.0
     for k in range(samples):
         t = k / (samples - 1)
         chord = (1.0 - t) * at_a + t * at_b
-        margin = chord - abs(evaluate(fp, iv.path_point(t))) ** q
+        margin = chord - _power("|f'(path(t))|", abs(evaluate(fp, iv.path_point(t))), q,
+                                f" at t = {t!r}")
         if margin < worst:
             worst = margin
             worst_t = t
     if worst < -tol:
         return ConvexityCertificate(q, samples, VIOLATED, worst, deriv_a, deriv_b, worst_t)
     return ConvexityCertificate(q, samples, VERIFIED, worst, deriv_a, deriv_b, None)
+
+
+def _power(name, modulus, q, where=""):
+    """modulus ** q; an overflow names the power, q, the modulus and where it was taken."""
+    try:
+        return modulus ** q
+    except OverflowError:
+        raise OverflowError(f"{name}^q out of range{where}: {name} = {modulus!r}, q = {q!r}") from None
 
 
 class TestCertify:
