@@ -99,7 +99,8 @@ class TestExitCodes:
         (["--f", "sin(x)", "--a", "1", "--b", "3", "--phi", "pi/2", "--q", "600"],
          "|f'(path(t))|^q out of range at t = 1.0: |f'(path(t))| = 3.6668846449997132, "
          "q = 600.0"),
-        (["--f", "x", "--a", "0", "--b", "1e100", "--q", "1"], "(b-a)^4 out of range: b-a = 1e+100"),
+        (["--f", "x", "--a", "0", "--b", "1e100", "--q", "1"],
+         "(b-a)^4 out of range: b-a = 1e+100"),
     ], ids=["endpoint", "path-point", "classical"])
     def test_an_overflowing_power_is_named(self, capsys, argv, message):
         code, out, err = _run(capsys, ["verify", *argv, "--samples", "11"])
@@ -217,8 +218,9 @@ class TestExitCodes:
         # the path integral scales by |chord|, one ulp below b - a at pi/4
         ("0", "0.011111111111111112", "pi/4", "2.2e-322",
          "oracle tolerance 2.2e-322 times the segment length 0.011111111111111112 underflows to 0"),
-    ], ids=["endpoint", "minus-inf-endpoint", "minus-inf-phi", "order", "phi", "length-overflows", "tolerance-underflows",
-            "kernel-tolerance-underflows", "kernel-tolerance-underflows-on-a-long-segment",
+    ], ids=["endpoint", "minus-inf-endpoint", "minus-inf-phi", "order", "phi", "length-overflows",
+            "tolerance-underflows", "kernel-tolerance-underflows",
+            "kernel-tolerance-underflows-on-a-long-segment",
             "tolerance-underflows-on-the-rotated-chord"])
     def test_segment_errors_keep_their_text(self, capsys, a, b, phi, tol, message):
         code, _, err = _run(capsys, ["verify", "--f", "x", "--a", a, "--b", b, "--phi", phi,

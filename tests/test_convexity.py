@@ -52,7 +52,8 @@ def _power(name, modulus, q, where=""):
     try:
         return modulus ** q
     except OverflowError:
-        raise OverflowError(f"{name}^q out of range{where}: {name} = {modulus!r}, q = {q!r}") from None
+        raise OverflowError(f"{name}^q out of range{where}: "
+                            f"{name} = {modulus!r}, q = {q!r}") from None
 
 
 class TestCertify:
