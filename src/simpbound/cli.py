@@ -149,6 +149,17 @@ class RunReport(NamedTuple):
                          self.classical, self.m4_estimate)
 
 
+def _as_floats(config: RunConfig) -> RunConfig:
+    """``config`` with every number but the sample count made a float.
+
+    The one coercion of the pipeline: a run on int endpoints or q computes
+    and reports exactly what the same run on floats does.
+    """
+    return config._replace(a=float(config.a), b=float(config.b), phi=float(config.phi),
+                           qs=tuple(map(float, config.qs)), oracle_tol=float(config.oracle_tol),
+                           identity_tol=float(config.identity_tol))
+
+
 def validate_config(config: RunConfig) -> PhiInterval:
     """Check ``config`` and return its segment; raises ConfigError."""
     if not config.expression.strip():
@@ -183,8 +194,9 @@ def cmd_verify(config: RunConfig) -> RunReport:
     bound, from that certificate's |f'(a)| and |f'(b)| -> classical bound
     (phi = 0 only).  A side of the identity, its residual or a bound that
     is not finite raises OverflowError naming it, so no report carries inf
-    or nan.
+    or nan.  The report's config is ``config`` with its numbers made floats.
     """
+    config = _as_floats(config)
     iv = validate_config(config)
     f = parse(config.expression)
 
@@ -252,7 +264,7 @@ def cmd_sweep(segments: Sequence[RunConfig]) -> SweepReport:
     are run one by one, so each keeps its own error.
     """
     cells: list[SweepCell] = []
-    for segment in segments:
+    for segment in map(_as_floats, segments):
         report, error = _attempt(segment)
         if report is not None:
             cells.extend(SweepCell(cell.config, cell, None)

@@ -1,21 +1,22 @@
 """Render run reports as an aligned table, canonical JSON, or CSV.
 
-Machine formats (json, csv) print every float with 17 significant digits so
-that output is byte-stable across runs and parses back to the identical
-IEEE-754 value.  JSON objects are emitted with a fixed key order and no
-wall-clock or environment data, so identical configurations produce
-byte-identical documents.
+Machine formats (json, csv) print every float as Python's ``repr``: the
+shortest text that reads back to the same IEEE-754 value, always with a
+``.`` or an exponent, while counts print as integers.  The numbers are
+floats because ``cli`` makes every number of a ``RunConfig`` but the sample
+count a float before it runs.  JSON objects are emitted with a fixed key
+order and no wall-clock or environment data, so identical configurations
+produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json as _json
+import json
 from typing import Any
 
 __all__ = [
-    "float17",
     "render_json",
     "verify_json_doc",
     "sweep_json_doc",
@@ -31,52 +32,11 @@ CSV_COLUMNS = (
 )
 
 
-def float17(x: float) -> str:
-    """Decimal form with 17 significant digits (round-trips bit-for-bit)."""
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # JSON
 
 def render_json(doc: Any) -> str:
-    parts: list[str] = []
-    _write_json(doc, 0, parts)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _write_json(value: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(_json.dumps(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(float17(value))
-    elif isinstance(value, (dict, list, tuple)):
-        is_object = isinstance(value, dict)
-        brackets = "{}" if is_object else "[]"
-        if not value:
-            out.append(brackets)
-            return
-        out.append(brackets[0] + "\n")
-        for i, item in enumerate(value):  # an object's keys, or an array's items
-            out.append(pad + "  ")
-            if is_object:
-                out.append(f"{_json.dumps(item)}: ")
-                item = value[item]
-            _write_json(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + brackets[1])
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _complex_doc(z: complex) -> dict:
@@ -84,28 +44,8 @@ def _complex_doc(z: complex) -> dict:
 
 
 def _config_doc(cfg) -> dict:
-    return {
-        "expression": cfg.expression,
-        "a": float(cfg.a),
-        "b": float(cfg.b),
-        "phi": float(cfg.phi),
-        "q": [float(q) for q in cfg.qs],
-        "oracle_tol": float(cfg.oracle_tol),
-        "identity_tol": float(cfg.identity_tol),
-        "certificate_samples": int(cfg.certificate_samples),
-    }
-
-
-def _bound_doc(row) -> dict:
-    return {
-        "theorem": row.theorem,
-        "q": None if row.q is None else float(row.q),
-        "bound": row.bound,
-        "actual": row.actual,
-        "slack": row.slack,
-        "dominant": row.dominant,
-        "certificate_status": row.certificate_status,
-    }
+    """The config's fields in order, with ``qs`` written as ``q``."""
+    return {"q" if key == "qs" else key: value for key, value in cfg._asdict().items()}
 
 
 def verify_json_doc(report) -> dict:
@@ -130,14 +70,12 @@ def verify_json_doc(report) -> dict:
             }
             for cert in report.certificates
         ],
-        "bounds": [_bound_doc(row) for row in report.bounds],
+        "bounds": [row._asdict() for row in report.bounds],
         "classical": None,
         "verdict": report.verdict,
     }
     if report.classical is not None:
-        classical = _bound_doc(report.classical)
-        classical["m4_estimate"] = report.m4_estimate
-        doc["classical"] = classical
+        doc["classical"] = {**report.classical._asdict(), "m4_estimate": report.m4_estimate}
     return doc
 
 
@@ -145,50 +83,30 @@ def sweep_json_doc(sweep) -> dict:
     runs = []
     for cell in sweep.cells:
         if cell.report is None:
-            runs.append({
-                "status": "error",
-                "error": cell.error,
-                "config": _config_doc(cell.config),
-            })
+            runs.append({"status": "error", "error": cell.error,
+                         "config": _config_doc(cell.config)})
         else:
-            entry: dict = {"status": "ok", "error": None}
-            entry.update(verify_json_doc(cell.report))
-            runs.append(entry)
-    summary = sweep.summary
-    return {
-        "runs": runs,
-        "summary": {
-            "cells": summary.cells,
-            "errors": summary.errors,
-            "max_residual": summary.max_residual,
-            "min_slack": dict(summary.min_slack),
-            "violations": summary.violations,
-            "verified_violations": summary.verified_violations,
-        },
-    }
+            runs.append({"status": "ok", "error": None, **verify_json_doc(cell.report)})
+    return {"runs": runs, "summary": sweep.summary._asdict()}
 
 
 # ---------------------------------------------------------------------------
 # CSV
 
-def _csv_cell(value: Any) -> str:
-    """A CSV cell: text as it is, a flag as true/false, a missing value empty, a number float17."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value if isinstance(value, str) else float17(value)
+def _csv_rows(report) -> list[list]:
+    """One row per bound: the segment of the config, then the bound row's fields.
 
-
-def _csv_rows(report) -> list[list[str]]:
-    """One row per bound: the segment of the config, then the bound row's JSON fields."""
+    ``csv.writer`` writes None as an empty cell and a float as its repr; a
+    flag is written true/false.
+    """
     cfg = report.config
-    prefix = [_csv_cell(value) for value in (cfg.expression, cfg.a, cfg.b, cfg.phi)]
-    return [prefix + [_csv_cell(value) for value in _bound_doc(row).values()]
+    return [[cfg.expression, cfg.a, cfg.b, cfg.phi]
+            + [("true" if value else "false") if isinstance(value, bool) else value
+               for value in row]
             for row in report.all_rows()]
 
 
-def _write_csv(rows: list[list[str]]) -> str:
+def _write_csv(rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -201,7 +119,7 @@ def render_csv_verify(report) -> str:
 
 
 def render_csv_sweep(sweep) -> str:
-    rows: list[list[str]] = []
+    rows: list[list] = []
     for cell in sweep.cells:
         if cell.report is not None:
             rows.extend(_csv_rows(cell.report))

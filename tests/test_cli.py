@@ -1,8 +1,13 @@
+import csv
+import functools
+import io
 import json
 import math
+import struct
 from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from simpbound import cli
 from simpbound.cli import (
@@ -16,8 +21,6 @@ from simpbound.cli import (
 from simpbound.identity import IdentityReport
 from simpbound.report import (
     CSV_COLUMNS,
-    _bound_doc,
-    float17,
     render_csv_sweep,
     render_csv_verify,
     render_json,
@@ -330,8 +333,8 @@ class TestVerifyPipeline:
 
     def test_csv_columns_after_the_segment_are_the_bound_fields(self):
         report = cmd_verify(_quick_config())
-        for row in report.all_rows():
-            assert CSV_COLUMNS[4:] == tuple(_bound_doc(row))
+        for row in verify_json_doc(report)["bounds"]:
+            assert CSV_COLUMNS[4:] == tuple(row)
 
     def test_csv_rows_without_classical_when_rotated(self):
         report = cmd_verify(_quick_config(phi=math.pi / 2))
@@ -593,14 +596,59 @@ class TestDeterminism:
         assert path.read_text(encoding="utf-8") == out
 
 
-class TestFloat17:
-    @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, math.pi, 5.0 / 72.0,
-                                       1e-300, 12345.678901234567])
-    def test_round_trips(self, value):
-        assert float(float17(value)) == value
+@functools.lru_cache(maxsize=None)
+def _phi0_report():
+    return cmd_verify(_quick_config())
 
-    def test_whole_numbers_stay_compact(self):
-        assert float17(24.0) == "24"
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestNumbersReadBack:
+    """Every float of a machine report reads back as the same float, bit for bit."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(1.7976931348623157e308)
+    @example(24.0)
+    @example(0.1)
+    @example(1.0 / 3.0)
+    @example(math.pi)
+    @example(5.0 / 72.0)
+    @example(1e-300)
+    @example(12345.678901234567)
+    def test_bound_row_values_round_trip(self, value):
+        report = _phi0_report()
+        first, *rest = report.rows_per_q[0]
+        row = first._replace(bound=value, actual=value, slack=value)
+        report = report._replace(rows_per_q=((row, *rest), *report.rows_per_q[1:]))
+
+        doc = json.loads(render_json(verify_json_doc(report)))["bounds"][0]
+        cells = list(csv.reader(io.StringIO(render_csv_verify(report))))[1]
+        for name in ("bound", "actual", "slack"):
+            assert type(doc[name]) is float and _bits(doc[name]) == _bits(value)
+            cell = cells[CSV_COLUMNS.index(name)]
+            assert "." in cell or "e" in cell
+            assert _bits(float(cell)) == _bits(value)
+
+    def test_int_config_reports_the_same_bytes_as_floats(self):
+        def segments(number):
+            return [RunConfig("x^4", number(0), number(1), number(0), (number(1), number(2)),
+                              identity_tol=number(1), certificate_samples=51),
+                    RunConfig("log(x)", number(0), number(2), number(0), (number(2),),
+                              certificate_samples=51)]
+
+        ints, floats = segments(int), segments(float)
+        verify = cmd_verify(ints[0]), cmd_verify(floats[0])
+        sweep = cmd_sweep(ints), cmd_sweep(floats)
+        assert sweep[1].summary.errors == 1  # log(x) at 0: an error cell echoes its config
+        for render, reports in ((lambda r: render_json(verify_json_doc(r)), verify),
+                                (render_csv_verify, verify),
+                                (lambda r: render_json(sweep_json_doc(r)), sweep),
+                                (render_csv_sweep, sweep)):
+            assert render(reports[0]) == render(reports[1])
 
 
 def test_csv_sweep_covers_all_reported_cells():

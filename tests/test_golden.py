@@ -5,15 +5,27 @@ the exit code with ``tests/golden/<name>``.  The corpus covers every report
 format, the classical row (phi = 0), a rotated segment, a sweep cell that
 fails with a domain error, a sweep with an overflow at one q between two ok
 cells of the same segment, a repeated q and an a > b segment, and a violated
-certificate.  A change that alters
-any report byte must say why and regenerate the corpus with
+certificate.  JSON and CSV files hold numbers as Python's ``repr`` writes
+them, the shortest text that reads back to the same double.  A change that
+alters any report byte must say why and regenerate the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which, before it overwrites each file, prints one line saying what moved:
+``unchanged``, ``bytes changed, values identical`` or ``N values changed``
+followed by the first JSON paths, CSV cells or table lines that changed.
+Numbers are compared bit for bit as IEEE-754 doubles (JSON integers read as
+floats), so a change of number text alone, such as ``24`` to ``24.0``, keeps
+the values identical while ``0`` to ``-0`` does not.
 """
 
 from __future__ import annotations
 
-import sys
+import csv
+import io
+import json
+import struct
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -46,6 +58,57 @@ CASES = {
 }
 
 
+SHOWN_CHANGES = 5  # paths named after the count of changed values
+
+
+def _bits(value):
+    """A float as its IEEE-754 bytes, so that -0.0 and 0.0 differ; other values as they are."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _json_values(value, path: str, out: dict) -> dict:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _json_values(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _json_values(item, f"{path}[{i}]", out)
+    else:
+        out[path] = _bits(value)
+    return out
+
+
+def _csv_cell(text: str):
+    try:
+        return _bits(float(text))
+    except ValueError:
+        return text
+
+
+def report_values(name: str, data: bytes) -> dict:
+    """Each value of a report by where it is: a JSON path, a CSV cell or a table line."""
+    text = data.decode("utf-8")
+    if name.endswith(".json"):
+        return _json_values(json.loads(text, parse_int=float), "", {})
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        return {f"row {n} {column}": _csv_cell(cell)
+                for n, row in enumerate(rows, start=1) for column, cell in zip(header, row)}
+    return {f"line {n}": line for n, line in enumerate(text.splitlines(), start=1)}
+
+
+def describe_change(name: str, old: bytes, new: bytes) -> str:
+    """What regenerating report ``name`` moves: its bytes, its values, or nothing."""
+    if old == new:
+        return "unchanged"
+    before, after = report_values(name, old), report_values(name, new)
+    moved = [where for where in {**before, **after}
+             if where not in before or where not in after or before[where] != after[where]]
+    if not moved:
+        return "bytes changed, values identical"
+    return f"{len(moved)} values changed: {', '.join(moved[:SHOWN_CHANGES])}"
+
+
 def run_case(name: str, out: Path) -> tuple[int, bytes]:
     argv, _ = CASES[name]
     code = main([*argv, "--output", str(out)])
@@ -68,8 +131,28 @@ def test_corpus_covers_the_shapes_it_gates():
     assert b'"violated"' in (GOLDEN / "violated-certificate.json").read_bytes()
 
 
+def test_a_change_of_number_text_alone_keeps_the_values():
+    assert describe_change("r.json", b'{"q": [24]}', b'{"q": [24.0]}') == (
+        "bytes changed, values identical")
+    assert describe_change("r.csv", b"a,q\nx,24\n", b"a,q\nx,24.0\n") == (
+        "bytes changed, values identical")
+    assert describe_change("r.json", b'{"q": 1}', b'{"q": 1}') == "unchanged"
+
+
+def test_a_changed_value_is_named_down_to_its_sign():
+    assert describe_change("r.json", b'{"b": [0, 1]}', b'{"b": [-0.0, 1]}') == (
+        "1 values changed: b[0]")
+    assert describe_change("r.csv", b"a,q\nx,1\n", b"a,q\ny,1.5\n") == (
+        "2 values changed: row 1 a, row 1 q")
+    assert describe_change("r.txt", b"x\ny\n", b"x\nz\n") == "1 values changed: line 2"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        exit_code, _ = run_case(case, GOLDEN / case)
-        print(f"{case}: exit {exit_code}", file=sys.stderr)
+        path = GOLDEN / case
+        with tempfile.TemporaryDirectory() as scratch:
+            exit_code, text = run_case(case, Path(scratch) / case)
+        change = describe_change(case, path.read_bytes(), text) if path.exists() else "new file"
+        print(f"{case}: exit {exit_code}, {change}")
+        path.write_bytes(text)
