@@ -64,7 +64,6 @@ __all__ = [
     "cmd_sweep",
     "emit_report",
     "main",
-    "run",
 ]
 
 EXIT_OK = 0
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", type=float, required=True, help="left endpoint")
     verify.add_argument("--b", type=float, required=True, help="right endpoint")
     verify.add_argument("--phi", default="0",
-                        help="rotation angle in radians, or 0, pi/6, pi/4, pi/3, pi/2")
+                        help=f"rotation angle in radians, or {', '.join(PHI_TOKENS)}")
     _add_common_arguments(verify)
 
     sweep = sub.add_parser("sweep", help="cartesian grid of configurations")
@@ -473,7 +472,3 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"simpbound: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK if report.passed else EXIT_VIOLATION
-
-
-def run() -> None:
-    raise SystemExit(main())

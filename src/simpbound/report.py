@@ -16,6 +16,8 @@ import io
 import json
 from typing import Any
 
+from .bounds import BoundReport
+
 __all__ = [
     "render_json",
     "verify_json_doc",
@@ -26,10 +28,7 @@ __all__ = [
     "render_table_sweep",
 ]
 
-CSV_COLUMNS = (
-    "expression", "a", "b", "phi", "theorem", "q",
-    "bound", "actual", "slack", "dominant", "certificate_status",
-)
+CSV_COLUMNS = ("expression", "a", "b", "phi", *BoundReport._fields)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,19 @@ tolerance in a few hundred evaluations.  Failures come from a fixed list of
 inputs that fail before or at their first evaluation: domain errors at an
 endpoint or the midpoint, syntax errors, invalid configurations and
 overflows.
+
+``python -m simpbound`` is checked against ``main`` in a subprocess.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,3 +157,19 @@ def test_failing_inputs_keep_the_exit_code_contract(argv, expected, fmt):
 def test_fixed_inputs_keep_their_exit_code(argv, expected, fmt):
     assert run_main(["verify", *argv, "--samples", "11"], fmt) == expected
 
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--f", "exp(x)", "--a", "0", "--b", "1", "--q", "2"], 0),
+    (["verify", "--f", "x", "--a", "1", "--b", "0"], 2),
+])
+def test_python_m_simpbound_runs_main(argv, expected):
+    """``python -m simpbound`` gives ``main``'s exit code, report and message."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    module = subprocess.run([sys.executable, "-m", "simpbound", *argv], capture_output=True,
+                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert code == expected
+    assert (module.returncode, module.stdout, module.stderr) == (code, out.getvalue(),
+                                                                 err.getvalue())

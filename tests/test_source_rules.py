@@ -4,9 +4,12 @@ library, and of it not ``dataclasses``, whose import brings ``inspect``,
 generates no code (no bare ``compile``, ``exec`` or ``eval``), and it keeps
 no cache that outlives a stage (no ``functools`` cache) except on
 ``cli._parser``, which holds one argument parser per process and no
-expression, tape or value."""
+expression, tape or value.  The package itself lists no names: it re-exports
+the ``__all__`` of its library modules, and importing it loads no command
+line."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +110,39 @@ def test_the_parser_is_the_only_cache_the_rule_lets_through():
 ])
 def test_a_cache_anywhere_else_breaks_the_rule(source, filename):
     assert len(_cache_uses(source, filename)) == 1
+
+
+# The modules whose ``__all__`` the package re-exports, in order.
+EXPORTING = ("bounds", "convexity", "domain", "expr", "identity", "quad")
+
+
+def test_the_package_exports_its_modules_names_in_order():
+    import simpbound
+    joined = [name for module in EXPORTING
+              for name in importlib.import_module(f"simpbound.{module}").__all__]
+    assert simpbound.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
+def test_each_exported_name_is_its_modules_object():
+    import simpbound
+    for module in EXPORTING:
+        owner = importlib.import_module(f"simpbound.{module}")
+        for name in owner.__all__:
+            assert getattr(simpbound, name) is getattr(owner, name), f"{module}.{name}"
+
+
+def test_the_package_lists_no_names_of_its_own():
+    tree = ast.parse((SRC / "simpbound" / "__init__.py").read_text())
+    listed = [f"line {node.lineno}: from .{node.module}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              and [alias.name for alias in node.names] != ["*"]]
+    assert listed == []
+
+
+def test_importing_the_package_loads_no_command_line():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import simpbound; "
+            "print(*sorted({'simpbound.cli', 'argparse'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.split() == []
