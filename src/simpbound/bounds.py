@@ -4,8 +4,9 @@ All four theorem bounds are built from |f'| at the real endpoints a and b,
 the segment length L = b - a (the rotation factor enters only through its
 modulus, which is 1), and a finite exponent q >= 1.  The classical
 fourth-order bound m4 * L^4 / 2880 is included for phi = 0, with m4 the
-largest |f''''| that ``convexity.path_moduli``, the certificate's sampler,
-yields at M4_SAMPLES points of [a, b].
+largest |f''''| at M4_SAMPLES points of [a, b]: from Taylor jets of f's own
+tape, or, where they fail, from the symbolic f'''' sampled by
+``convexity.path_moduli``, the certificate's sampler.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .convexity import path_moduli
 from .domain import PhiInterval
-from .expr import Expr, Tape, differentiate, evaluate
+from .expr import Expr, Tape, differentiate, evaluate, taylor_grid
 
 __all__ = [
     "BoundInputs",
@@ -192,11 +193,23 @@ def estimate_m4(f: Expr, iv: PhiInterval) -> float:
 
     A lower estimate of the supremum (sampling cannot certify a sup);
     only defined for phi = 0, where the path point of t is a + t (b - a).
-    ``convexity.path_moduli`` samples the points and raises the first
-    error a point-by-point pass would meet.
+    f'''' is 4! times the fourth Taylor coefficient that ``taylor_grid``
+    takes from f's own tape at the points ``convexity.path_moduli`` would
+    sample.  Where that pass fails (a rule divides by zero, as a power
+    does at a zero base, a coefficient is not finite, or a modulus is out
+    of range), f'''' is taken symbolically and ``path_moduli`` samples its
+    tape: the one path that gives a value there, or raises the first error
+    a point-by-point pass would meet.
     """
     if iv.phi != 0.0:
         raise ValueError("fourth-derivative estimate requires phi = 0")
+    points = [iv.a + k / (M4_SAMPLES - 1) * iv.chord for k in range(M4_SAMPLES)]
+    try:
+        m4 = max(abs(24.0 * c) for c in taylor_grid(Tape(f), points, 4)[4])
+        if isfinite(m4):
+            return m4
+    except (ArithmeticError, ValueError):
+        pass
     d4 = f
     for _ in range(4):
         d4 = differentiate(d4)

@@ -8,6 +8,14 @@ Exit codes: 0 success, 1 identity failure or a dominance violation under a
 verified certificate, 2 invalid configuration (including expression syntax
 errors), 3 math/domain errors during evaluation, 4 I/O errors while writing
 the report.
+
+The tuples that every run builds (its q list, certificates, theorem rows and
+a report's bounds) are made from lists.  CPython's ``tuple()`` of an
+iterator of unknown length grows the tuple by resizing, so it never takes a
+tuple from the interpreter's free lists, yet it returns one to them when it
+is freed: run after run in one process then fills those lists, up to 2 000
+tuples of each length, until a full garbage collection, which a run that
+allocates few containers seldom triggers.
 """
 
 from __future__ import annotations
@@ -121,7 +129,7 @@ class RunReport(NamedTuple):
 
     @property
     def bounds(self) -> tuple[BoundReport, ...]:
-        return tuple(row for rows in self.rows_per_q for row in rows)
+        return tuple([row for rows in self.rows_per_q for row in rows])
 
     def all_rows(self) -> tuple[BoundReport, ...]:
         return self.bounds + (() if self.classical is None else (self.classical,))
@@ -154,9 +162,9 @@ def _as_floats(config: RunConfig) -> RunConfig:
     The one coercion of the pipeline: a run on int endpoints or q computes
     and reports exactly what the same run on floats does.
     """
-    return config._replace(a=float(config.a), b=float(config.b), phi=float(config.phi),
-                           qs=tuple(map(float, config.qs)), oracle_tol=float(config.oracle_tol),
-                           identity_tol=float(config.identity_tol))
+    return RunConfig(config.expression, float(config.a), float(config.b), float(config.phi),
+                     tuple([float(q) for q in config.qs]), float(config.oracle_tol),
+                     float(config.identity_tol), config.certificate_samples)
 
 
 def validate_config(config: RunConfig) -> PhiInterval:
@@ -208,7 +216,7 @@ def cmd_verify(config: RunConfig) -> RunReport:
     actual = abs(identity.lhs)
 
     certificates = certify_phi_convexity(f, iv, config.qs, samples=config.certificate_samples)
-    rows_per_q = tuple(_theorem_rows(cert, iv.length, actual) for cert in certificates)
+    rows_per_q = tuple([_theorem_rows(cert, iv.length, actual) for cert in certificates])
 
     classical = m4 = None
     if config.phi == 0.0:
@@ -227,8 +235,8 @@ def _theorem_rows(cert: ConvexityCertificate, length: float,
     """T31 to T34 from one certificate's |f'(a)|, |f'(b)| and q; T32 and T33 need q > 1."""
     inputs = BoundInputs(cert.deriv_a, cert.deriv_b, length, cert.q)
     theorems = (("T31", bound_t31), ("T32", bound_t32), ("T33", bound_t33), ("T34", bound_t34))
-    return tuple(make_bound_report(name, cert.q, bound(inputs), actual, cert.status)
-                 for name, bound in theorems if cert.q > 1.0 or name in ("T31", "T34"))
+    return tuple([make_bound_report(name, cert.q, bound(inputs), actual, cert.status)
+                  for name, bound in theorems if cert.q > 1.0 or name in ("T31", "T34")])
 
 
 class SweepCell(NamedTuple):
@@ -348,7 +356,7 @@ def _parse_float_list(text: str, name: str,
     if not items:
         raise ConfigError(f"{name} list must be nonempty")
     try:
-        return tuple(convert(piece) for piece in items)
+        return tuple([convert(piece) for piece in items])
     except ValueError as exc:
         raise ConfigError(f"invalid {name} list {text!r}: {exc}") from None
 

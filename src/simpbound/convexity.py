@@ -133,7 +133,9 @@ def certify_phi_convexity(f: Expr, iv: PhiInterval, qs: Sequence[float],
             low = min(margins)
             if low < worst[j][0]:  # strict: the first of equal margins stays the worst
                 worst[j] = (low, ts[margins.index(low)])
-    return tuple(ConvexityCertificate(q, samples, VIOLATED, margin, deriv_a, deriv_b, t)
-                 if margin < -DEFAULT_CERT_TOL
-                 else ConvexityCertificate(q, samples, VERIFIED, margin, deriv_a, deriv_b)
-                 for q, (margin, t) in zip(qs, worst))
+    # from a list, so that the tuple comes from the interpreter's free list that it
+    # returns to (``tuple()`` of an iterator resizes instead)
+    return tuple([ConvexityCertificate(q, samples, VIOLATED, margin, deriv_a, deriv_b, t)
+                  if margin < -DEFAULT_CERT_TOL
+                  else ConvexityCertificate(q, samples, VERIFIED, margin, deriv_a, deriv_b)
+                  for q, (margin, t) in zip(qs, worst)])

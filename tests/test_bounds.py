@@ -12,6 +12,7 @@ from simpbound import (
     bound_t33,
     bound_t34,
     bounds,
+    certify_phi_convexity,
     classical_bound,
     convexity,
     estimate_m4,
@@ -212,6 +213,11 @@ class TestClassicalBound:
             classical_bound(1.0, 0.0)
 
 
+def failing_jets(tape, points, order):
+    """Stands in for taylor_grid where a test needs estimate_m4's symbolic fallback."""
+    raise ZeroDivisionError("complex division by zero")
+
+
 class TestEstimateM4:
     def test_constant_fourth_derivative(self, monkeypatch):
         for samples in (2, 11, 101):
@@ -247,18 +253,38 @@ class TestEstimateM4:
         with pytest.raises(OverflowError, match="absolute value too large"):
             estimate_m4(parse(self.OVERFLOW_THEN_POLE), PhiInterval(0.0, 1.0))
 
-    @pytest.mark.parametrize("values, error, message", [
+    # a grid that fails at its third point; the modulus of 1.5e308*(1 + i)
+    # overflows at the second, before it
+    FAILING_GRIDS = [
         ([1.0 + 0j, complex(1.5e308, 1.5e308)], OverflowError, "absolute value too large"),
         ([1.0 + 0j, 2.0 + 0j], EvalDomainError, "^division by zero"),
-    ])
-    def test_the_sampler_raises_the_first_failure_of_a_point_by_point_pass(
-            self, monkeypatch, values, error, message):
-        # the grid fails at its third point; the modulus of 1.5e308*(1 + i)
-        # overflows at the second, before it
+    ]
+
+    @staticmethod
+    def fail_the_grid(monkeypatch, values):
         pole = EvalDomainError("division by zero", parse("1/x"))
         monkeypatch.setattr(convexity, "evaluate_grid", lambda tape, zs: (values, pole))
+
+    @pytest.mark.parametrize("values, error, message", FAILING_GRIDS)
+    def test_the_sampler_raises_the_first_failure_of_a_point_by_point_pass(
+            self, monkeypatch, values, error, message):
+        # path_moduli samples the certificate's |f'| and, where the jets fail, |f''''|
+        self.fail_the_grid(monkeypatch, values)
+        with pytest.raises(error, match=message):
+            certify_phi_convexity(parse("x"), PhiInterval(0.0, 1.0), [1.0])
+
+    @pytest.mark.parametrize("values, error, message", FAILING_GRIDS)
+    def test_the_fallback_raises_the_first_failure_of_a_point_by_point_pass(
+            self, monkeypatch, values, error, message):
+        monkeypatch.setattr(bounds, "taylor_grid", failing_jets)
+        self.fail_the_grid(monkeypatch, values)
         with pytest.raises(error, match=message):
             estimate_m4(parse("x"), PhiInterval(0.0, 1.0))
+
+    def test_a_constant_whose_symbolic_derivative_fails_adds_nothing(self):
+        # the symbolic f'' of exp(log(1e-200)) divides by 1e-200*1e-200, which
+        # underflows to 0; its jet is a constant
+        assert estimate_m4(parse("x^4 + exp(log(1e-200))"), PhiInterval(0.0, 1.0)) == 24.0
 
 
 _magnitudes = st.floats(min_value=0.0, max_value=50.0)

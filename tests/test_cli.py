@@ -1,15 +1,17 @@
 import csv
 import functools
+import gc
 import io
 import json
 import math
 import struct
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from simpbound import cli
+from simpbound import bounds, cli
 from simpbound.cli import (
     ConfigError,
     RunConfig,
@@ -28,6 +30,8 @@ from simpbound.report import (
     sweep_json_doc,
     verify_json_doc,
 )
+
+from test_bounds import failing_jets
 
 
 def _run(capsys, argv):
@@ -141,10 +145,15 @@ class TestExitCodes:
         assert err == "simpbound: overflow in power in '(0.0 - 2.0)^(1e+308*x)'\n"
 
     def test_a_wide_product_verifies_at_phi_zero(self, capsys):
-        # estimate_m4 takes the fourth derivative of all 64 factors
+        # estimate_m4 runs Taylor jets through the 63 products
         code, _, err = _run(capsys, ["verify", "--f", "*".join(["x"] * 64), "--a", "0.5",
                                      "--b", "1", "--phi", "0", "--q", "1"])
         assert code == 0, err
+
+    def test_a_wide_product_verifies_at_phi_zero_without_jets(self, capsys, monkeypatch):
+        # where the jets fail, estimate_m4 differentiates all 64 factors four times
+        monkeypatch.setattr(bounds, "taylor_grid", failing_jets)
+        self.test_a_wide_product_verifies_at_phi_zero(capsys)
 
     @pytest.mark.parametrize("flag", ["--tol", "--identity-tol"])
     def test_non_finite_tolerance_is_a_config_error(self, capsys, flag):
@@ -289,6 +298,28 @@ class TestVerifyPipeline:
         assert report.classical.certificate_status == "skipped"
         assert report.verdict == "all-dominant"
         assert report.passed
+
+    def test_repeated_runs_leave_no_tuples_in_the_free_lists(self):
+        # with the garbage collector off, nothing but the interpreter's free lists can
+        # keep a block once a run has returned: a tuple built from an iterator adds one
+        config = RunConfig("exp(sin(1.1*x))/(1+x^2)", 0.3, 2.0, certificate_samples=101)
+
+        def run():
+            report = cmd_verify(config)
+            return report.passed, report.verdict, report.all_rows()
+
+        run()
+        gc.collect()  # a full collection also empties the free lists
+        gc.disable()
+        try:
+            run()
+            before = sys.getallocatedblocks()
+            for _ in range(50):
+                run()
+            grown = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert grown < 50, grown
 
     def test_no_classical_row_when_rotated(self):
         report = cmd_verify(_quick_config(phi=math.pi / 4))

@@ -13,10 +13,12 @@ alters any report byte must say why and regenerate the corpus with
 
 which, before it overwrites each file, prints one line saying what moved:
 ``unchanged``, ``bytes changed, values identical`` or ``N values changed``
-followed by the first JSON paths, CSV cells or table lines that changed.
-Numbers are compared bit for bit as IEEE-754 doubles (JSON integers read as
-floats), so a change of number text alone, such as ``24`` to ``24.0``, keeps
-the values identical while ``0`` to ``-0`` does not.
+followed by the first JSON paths, CSV cells or table lines that changed,
+and, when numbers moved, the largest relative change among them and its
+size in units in the last place, so that a move in the last bits reads as
+one.  Numbers are compared bit for bit as IEEE-754 doubles (JSON integers
+read as floats), so a change of number text alone, such as ``24`` to
+``24.0``, keeps the values identical while ``0`` to ``-0`` does not.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -106,7 +109,27 @@ def describe_change(name: str, old: bytes, new: bytes) -> str:
              if where not in before or where not in after or before[where] != after[where]]
     if not moved:
         return "bytes changed, values identical"
-    return f"{len(moved)} values changed: {', '.join(moved[:SHOWN_CHANGES])}"
+    change = f"{len(moved)} values changed: {', '.join(moved[:SHOWN_CHANGES])}"
+    numbers = [(_relative_change(before[where], after[where]), where) for where in moved
+               if isinstance(before.get(where), bytes) and isinstance(after.get(where), bytes)]
+    if not numbers:
+        return change
+    (relative, ulps), where = max(numbers)
+    return f"{change}; largest relative change {relative:.3g} ({ulps} ulp) at {where}"
+
+
+def _ordered(bits: bytes) -> int:
+    """A double's bits as an integer that counts ulps: adjacent doubles, and -0.0 and 0.0,
+    differ by 1."""
+    (n,) = struct.unpack("<q", bits)
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF) - 1
+
+
+def _relative_change(old: bytes, new: bytes) -> tuple[float, int]:
+    """|new - old| / |old| of two doubles given as bits, and their distance in ulps."""
+    (x,), (y,) = struct.unpack("<d", old), struct.unpack("<d", new)
+    relative = abs(y - x) / abs(x) if x else (math.inf if y else 0.0)
+    return relative, abs(_ordered(new) - _ordered(old))
 
 
 def run_case(name: str, out: Path) -> tuple[int, bytes]:
@@ -141,10 +164,20 @@ def test_a_change_of_number_text_alone_keeps_the_values():
 
 def test_a_changed_value_is_named_down_to_its_sign():
     assert describe_change("r.json", b'{"b": [0, 1]}', b'{"b": [-0.0, 1]}') == (
-        "1 values changed: b[0]")
+        "1 values changed: b[0]; largest relative change 0 (1 ulp) at b[0]")
     assert describe_change("r.csv", b"a,q\nx,1\n", b"a,q\ny,1.5\n") == (
-        "2 values changed: row 1 a, row 1 q")
+        "2 values changed: row 1 a, row 1 q; "
+        "largest relative change 0.5 (2251799813685248 ulp) at row 1 q")
     assert describe_change("r.txt", b"x\ny\n", b"x\nz\n") == "1 values changed: line 2"
+
+
+def test_a_changed_number_is_measured_in_ulps():
+    assert describe_change("r.json", b'{"m4": 1.0, "b": 3.0}',
+                           b'{"m4": 1.0000000000000002, "b": 3.0}') == (
+        "1 values changed: m4; largest relative change 2.22e-16 (1 ulp) at m4")
+    # the largest of several relative changes is named; crossing zero passes -0.0 and 0.0
+    assert describe_change("r.csv", b"m,s\n2.0,5e-324\n", b"m,s\n2.5,-5e-324\n") == (
+        "2 values changed: row 1 m, row 1 s; largest relative change 2 (3 ulp) at row 1 s")
 
 
 if __name__ == "__main__":

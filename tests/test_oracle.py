@@ -13,7 +13,10 @@ reference value.  For each case the oracle computes
   worst margin over its own sample grid, whose sign must give the tool's
   status wherever it clears the certificate's tolerance;
 * T31 to T34 from the certificate's own |f'(a)|, |f'(b)|, length and q, with
-  the kernel moment integrated rather than taken in closed form.
+  the kernel moment integrated rather than taken in closed form;
+* at phi = 0, the largest |f''''| at the tool's own M4_SAMPLES points, with
+  f'''' from ``mpmath.diff(..., 4)`` of the walk, and the classical bound
+  m4 (b - a)^4 / 2880 from the tool's own m4.
 
 The tool asks its quadrature for the contour integral to ``oracle_tol``
 times |chord| and for the kernel integral to ``oracle_tol`` over |chord|, so
@@ -23,8 +26,11 @@ the Simpson functional and |f'|) plus a rounding allowance for evaluating f
 and f' in double precision: ROUNDING times (1 + the largest modulus that a
 subterm of f, or f', takes at the surveyed path points), times |chord| on
 the kernel side.  A margin within ROUNDING * q * (1 + the largest power in
-it) of the certificate's tolerance decides no status.  The bounds must
-agree with the oracle to BOUND_RTOL relative.
+it) of the certificate's tolerance decides no status.  The bounds, the
+classical one included, must agree with the oracle to BOUND_RTOL relative,
+and the m4 estimate to M4_RTOL relative: each of its values of f'''' is a
+handful of rounded operations, by Taylor jets or by a symbolic derivative,
+and on these cases both stay within 3e-15 of the oracle.
 
 The cases are the golden-corpus and benchmark expressions on fixed
 segments, and Hypothesis expressions on segments that keep clear of branch
@@ -40,7 +46,7 @@ from functools import cached_property
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from simpbound import BudgetExceededError, integrate_01, parse, to_text
+from simpbound import M4_SAMPLES, BudgetExceededError, PhiInterval, integrate_01, parse, to_text
 from simpbound.cli import RunConfig, cmd_verify
 from simpbound.convexity import DEFAULT_CERT_TOL, VERIFIED, VIOLATED
 from simpbound.expr import Const, Unary, Var
@@ -52,6 +58,7 @@ mpmath = pytest.importorskip("mpmath")
 DPS = 30
 ROUNDING = 2.0 ** -44  # 512 units in the last place of each unit of magnitude
 BOUND_RTOL = 1e-14
+M4_RTOL = 1e-14
 QUAD_ERROR = 1e-20  # the oracle's own quadrature must claim at least this accuracy
 SURVEY_POINTS = 257  # path points at which a case is checked to keep clear of cuts and poles
 CLEARANCE = 0.05  # least distance from a cut or a pole a Hypothesis case must keep
@@ -264,6 +271,35 @@ def test_fixed_cases_agree_with_the_oracle(case):
     with mpmath.workdps(DPS):
         oracle = Oracle(text, a, b, phi, splits)
     check_against_oracle(oracle, qs)
+
+
+# (expression, a, b) at phi = 0: the golden-corpus and benchmark expressions
+M4_CASES = {
+    "golden deep": ("exp(sin(x))/(1+x^2)", 0.0, 2.0),
+    "golden sweep log": ("log(x)", 0.5, 1.5),
+    "golden sweep cubic": ("x^3 - x", 0.0, 1.5),
+    "golden mixed exp": ("exp(x)", 0.0, 10.0),
+    "golden mixed x": ("x", 0.0, 10.0),
+    "golden violated": ("sin(x)", 1.0, 3.0),
+    "bench sweep-grid deep": ("exp(sin(1.0*x))/(1+x^2)", 0.6, 3.0),
+    "bench sweep-grid quintic": ("x^5 - 2*1.0*x^3 + x", 0.6, 3.0),
+    "bench verify-deep": ("exp(sin(1.1*x))/(1+x^2)", 0.3, 2.0),
+    "bench near-pole": ("1/(1.0+x^2)", 0.002, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(M4_CASES))
+def test_m4_estimate_and_classical_bound_agree_with_the_oracle(case):
+    text, a, b = M4_CASES[case]
+    report = cmd_verify(RunConfig(text, a, b, 0.0, (1.0,), certificate_samples=101))
+    iv = PhiInterval(a, b)
+    points = [iv.a + k / (M4_SAMPLES - 1) * iv.chord for k in range(M4_SAMPLES)]
+    with mpmath.workdps(DPS):
+        oracle = Oracle(text, a, b, 0.0)
+        want = max(abs(mpmath.diff(oracle.value, mpmath.mpf(z.real), 4)) for z in points)
+        assert abs(report.m4_estimate - want) <= M4_RTOL * want, (report.m4_estimate, want)
+        bound = mpmath.mpf(report.m4_estimate) * mpmath.mpf(b - a) ** 4 / 2880
+        assert abs(report.classical.bound - bound) <= BOUND_RTOL * bound
 
 
 _segments = st.tuples(st.floats(0.4, 1.2), st.floats(0.2, 0.8),

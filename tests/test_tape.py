@@ -1,5 +1,6 @@
 """The tape against the recursive tree walk it replaced, kept here as the reference,
-and the grid evaluator against the tape run point by point."""
+the grid evaluator against the tape run point by point, and the Taylor jets against
+the tapes of symbolic derivatives."""
 
 import cmath
 import math
@@ -9,10 +10,12 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from simpbound import (Binary, Const, EvalDomainError, Tape, Unary, Var, differentiate, evaluate,
-                       evaluate_grid, parse)
+from simpbound import (Binary, Const, EvalDomainError, PhiInterval, Tape, Unary, Var, differentiate,
+                       estimate_m4, evaluate, evaluate_grid, parse, taylor_grid)
 from simpbound.convexity import GRID_CHUNK
 from simpbound.expr import _UNARY_FN, _power, _PowerError
+
+import test_bounds
 
 
 def reference_evaluate(e, z):
@@ -240,3 +243,72 @@ def test_grid_matches_evaluate_point_by_point_through_the_fourth_derivative(e, g
         tape = Tape(e)
         assert grid_outcome(*evaluate_grid(tape, grid)) == grid_outcome(*point_by_point(tape, grid))
         e = differentiate(e)
+
+
+# Jets and symbolic derivatives round differently, and both lose accuracy where the
+# Taylor coefficients of f's subterms are large and cancel (for cos(sqrt(x)) near 0,
+# whose f'' is about 1/12, one reads 0 and the other 3e35), so the allowed difference
+# grows with the square of the largest of them.  Over several thousand random cases
+# the largest difference seen was under 2^-50 of this scale.
+JET_TOLERANCE = 2.0 ** -40
+
+
+def symbolic_coefficients(e, grid):
+    """f^(k)(z)/k! for k = 0..4 at each point, from differentiate and evaluate_grid;
+    None where a derivative's tape fails."""
+    coefficients = []
+    for k in range(5):
+        values, error = evaluate_grid(Tape(e), grid)
+        if error is not None:
+            return None
+        coefficients.append([v / math.factorial(k) for v in values])
+        e = differentiate(e)
+    return coefficients
+
+
+@given(e=_exprs, grid=st.lists(_points, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+@example(e=parse("exp(sin(1.1*x))/(1 + x^2)"), grid=[0.3, 1.15, 2.0])
+@example(e=parse("x^x + log(x)*sqrt(x) - x^-2.5"), grid=[complex(0.4, 0.2), 1.0, 2.5])
+@example(e=parse("cos(x)^3/(x - 3) + 2^x"), grid=[0.0, -1.0, complex(1, 1)])
+def test_jets_match_the_symbolic_derivatives_wherever_they_succeed(e, grid):
+    try:
+        jets = taylor_grid(Tape(e), grid, 4)
+    except (ArithmeticError, ValueError):
+        return  # estimate_m4 falls back to the symbolic derivative
+    assert len(jets) == 5 and all(len(c) == len(grid) for c in jets)
+    want = symbolic_coefficients(e, grid)
+    subterms = [symbolic_coefficients(node, grid) for *_, node, _ in Tape(e).code]
+    if want is None or None in subterms:
+        return  # a symbolic derivative fails where the jets do not: nothing to compare
+    scale = max([0.0, *(abs(c) for coefficients in subterms for row in coefficients for c in row)])
+    for k in range(5):
+        for got, expected in zip(jets[k], want[k]):
+            allowed = JET_TOLERANCE * (1 + abs(expected) + scale * scale)
+            assert abs(got - expected) <= allowed, (k, got, expected)
+
+
+# Inputs on which the jets fail, with estimate_m4's outcome at the commit before it
+# took jets: a value's repr, or the error's type and message.
+FALLBACK_CASES = [
+    # a power's jet divides by its zero base at x = 0.5, where f'''' is finite
+    ("(x-0.5)^4.5", 0.0, 1.0, "41.76349426383047"),
+    ("(x-0.5)^3.5", 0.0, 1.0,
+     ("EvalDomainError", "zero raised to the power (-0.5+0j) in '(x - 0.5)^-0.5'")),
+    ("x^1.5", -1.0, 1.0, ("EvalDomainError", "zero raised to the power (-0.5+0j) in 'x^-0.5'")),
+    # f'''''s modulus leaves the float range from x = 0.75 on, before the pole at 0.9
+    (test_bounds.TestEstimateM4.OVERFLOW_THEN_POLE, 0.0, 1.0,
+     ("OverflowError", "absolute value too large")),
+]
+
+
+@pytest.mark.parametrize("text, a, b, outcome", FALLBACK_CASES)
+def test_estimate_m4_falls_back_to_the_symbolic_fourth_derivative(text, a, b, outcome):
+    iv = PhiInterval(a, b)
+    with pytest.raises((ArithmeticError, ValueError)):
+        taylor_grid(Tape(parse(text)), [a + k / 100 * iv.chord for k in range(101)], 4)
+    try:
+        got = repr(estimate_m4(parse(text), iv))
+    except (EvalDomainError, OverflowError) as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == outcome
