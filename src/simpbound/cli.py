@@ -10,12 +10,14 @@ errors), 3 math/domain errors during evaluation, 4 I/O errors while writing
 the report.
 
 The tuples that every run builds (its q list, certificates, theorem rows and
-a report's bounds) are made from lists.  CPython's ``tuple()`` of an
-iterator of unknown length grows the tuple by resizing, so it never takes a
-tuple from the interpreter's free lists, yet it returns one to them when it
-is freed: run after run in one process then fills those lists, up to 2 000
-tuples of each length, until a full garbage collection, which a run that
-allocates few containers seldom triggers.
+a report's bounds) are made from lists, and its float config is built by
+``RunConfig`` itself, not ``_replace``, whose ``_make(map(...))`` goes the
+same way.  CPython's ``tuple()`` of an iterator of unknown length grows the
+tuple by resizing, so it never takes a tuple from the interpreter's free
+lists, yet it returns one to them when it is freed: run after run in one
+process then fills those lists, up to 2 000 tuples of each length, until a
+full garbage collection, which a run that allocates few containers seldom
+triggers.
 """
 
 from __future__ import annotations
