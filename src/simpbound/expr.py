@@ -29,7 +29,7 @@ tape never recurse.  Each instruction carries the one function that does
 its node's arithmetic (an ``operator`` or ``cmath`` function, or
 :func:`_power`) and whether its value is checked for finiteness, and both
 ways of running a tape call it the same way, as ``fn(x)`` or ``fn(x, y)``:
-:func:`evaluate` at one point and :func:`evaluate_grid` over a list of
+:func:`evaluate` at one point and :func:`taylor_grid` over a list of
 points.  A power by a constant integer from 1 to :data:`_MAX_INT_POWER` is
 planned at build time as the multiplications that :func:`_int_power` does
 at run time, one instruction each; both take their order from
@@ -39,22 +39,23 @@ messages are identical to such a walk, and every failure is an
 :class:`EvalDomainError` that :func:`evaluate` raises naming the subterm at
 which it happened.
 
-:func:`evaluate_grid` runs each instruction as one ``map`` over the list,
-and each slot's list is released after its last use, so memory grows with
-the list's length times the slots alive at once; a caller with many
-points, such as the convexity certificate, passes them in fixed chunks.  It
-checks finiteness only where a non-finite value can first become hidden
-(a slot read by a function other than ``+``, ``-``, ``*`` or negation, and
-the root).  A failure anywhere sends the list back through
-:func:`evaluate` point by point, so the values, the first failing point
-and its error are exactly the ones evaluating point by point would give.
-
-:func:`taylor_grid` runs the same instructions on truncated Taylor series
-over a list of points, so derivatives of any order up to the one asked for
-come from f's own tape, with no derivative tree: the fourth derivative of
-``exp(sin(x))/(1+x^2)`` is 7 instructions on 5 coefficients instead of the
-235 instructions of its symbolic tape.  It names no subterm when it fails;
-its caller falls back to :func:`differentiate` for that.
+:func:`taylor_grid` is the one loop that runs a tape over a list of
+points.  It runs each instruction on truncated Taylor series, each
+coefficient a list over the points, so derivatives up to the order asked
+for come from f's own tape with no derivative tree: the fourth derivative
+of ``exp(sin(x))/(1+x^2)`` is 7 instructions on 5 coefficients instead of
+the 235 instructions of its symbolic tape.  At order 0 a slot holds one
+list and each instruction is one ``map`` of its function over it, which is
+:func:`evaluate_grid`.  Each slot's lists are released after their last
+use, so memory grows with the list's length times the slots alive at once;
+a caller with many points, such as the convexity certificate, passes them
+in fixed chunks.  Finiteness is checked only where a non-finite value can
+first become hidden (a slot read by a function other than ``+``, ``-``,
+``*`` or negation, and the root).  The grid names no subterm when it
+fails: :func:`evaluate_grid` then reruns the list through :func:`evaluate`
+point by point, so its values, the first failing point and its error are
+exactly the ones evaluating point by point would give, and
+``bounds.estimate_m4`` falls back to :func:`differentiate`.
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ class Tape:
     applied to slots ``a`` and ``b`` (``b`` is ``None`` for a unary node) in
     ``slot``; ``fn`` is the ``operator`` or ``cmath`` function of the node,
     or :func:`_power`, and takes the slots' values alone.  :func:`evaluate`
-    calls the same ``fn`` at one point and :func:`evaluate_grid` over a list
+    calls the same ``fn`` at one point and :func:`taylor_grid` over a list
     of points, one instruction at a time; ``node`` is only for naming the
     subterm in an error.  ``checked`` says whether :func:`evaluate` raises
     when the value is not finite: it is off for a negation, which keeps a
@@ -337,7 +338,7 @@ class Tape:
 
     ``last_use`` maps each slot read by an instruction to the index of the
     last instruction that reads it, and ``watched`` holds the slots whose
-    finiteness :func:`evaluate_grid` checks: the root's, and every slot
+    finiteness :func:`taylor_grid` checks: the root's, and every slot
     read by an instruction other than ``add``, ``sub``, ``mul`` or ``neg``.
     """
 
@@ -449,55 +450,22 @@ def evaluate(tape: Tape, z: complex) -> complex:
 
 
 def evaluate_grid(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[EvalDomainError]]:
-    """Evaluate a :class:`Tape` at every point of a list, one instruction at a time.
+    """Evaluate a :class:`Tape` at every point of a list: :func:`taylor_grid` at order 0.
 
     Returns the values at the points before the first one at which
     :func:`evaluate` raises, and the :class:`EvalDomainError` it raises
     there (``None`` when every point succeeds).  Values, messages and which
     error comes first are exactly those of calling :func:`evaluate` point by
-    point.
-
-    Each instruction maps its ``fn`` over the whole list.  The finiteness
-    check is one ``cmath.isfinite(sum(out))``, which is sound because a sum
-    holding inf or nan is never finite, and it is made only for the tape's
-    ``watched`` slots.  That misses no failure: ``add``, ``sub``, ``mul``
-    and ``neg`` of complex values give a non-finite value whenever an
-    operand is not finite, so a non-finite value in an unwatched slot is
-    passed on until it reaches a watched slot (the root at the latest),
-    which is checked before any other function reads it.  On an exception,
-    or a non-finite sum, the list is rerun through :func:`evaluate` point
-    by point, which finds the failing point and its error, or, when only
-    the sum overflowed or the value was one :func:`evaluate` does not
-    check, returns the same values.  Each slot's list is released after its
-    last use, so memory follows the number of live slots times the length
-    of the list.
+    point: at order 0 every instruction maps its own ``fn`` over the list,
+    and where :func:`taylor_grid` raises, the list is rerun through
+    :func:`evaluate` point by point, which finds the failing point and its
+    error, or, when only a sum overflowed or the value was one
+    :func:`evaluate` does not check, returns the same values.
     """
-    n = len(points)
-    v: list = [None if c is None else [c] * n for c in tape.slots]
-    v[0] = list(map(complex, points))
-    last_use, watched = tape.last_use, tape.watched
-    isfinite = cmath.isfinite
     try:
-        for i, (slot, fn, a, b, _, _) in enumerate(tape.code):
-            # log of 0, a zero divisor or a failing power raises
-            out = list(map(fn, v[a])) if b is None else list(map(fn, v[a], v[b]))
-            if slot in watched and not isfinite(sum(out)):
-                break
-            v[slot] = out
-            if last_use[a] == i:
-                v[a] = None
-            if b is not None and last_use[b] == i:
-                v[b] = None
-        else:
-            return v[-1], None
+        return taylor_grid(tape, points, 0)[0], None
     except (ArithmeticError, ValueError):
         pass
-    # something failed or overflowed at some point: find it point by point
-    return _evaluate_points(tape, points)
-
-
-def _evaluate_points(tape: Tape, points: Sequence[complex]) -> tuple[list, Optional[EvalDomainError]]:
-    """:func:`evaluate_grid`'s result, computed point by point."""
     values = []
     for z in points:
         try:
@@ -516,20 +484,30 @@ def taylor_grid(tape: Tape, points: Sequence[complex], order: int) -> list[list]
     list over the points per coefficient, and each rule takes the first
     ``order + 1`` coefficients of its operands to the same number of its
     result.  A slot whose higher coefficients are all zero holds fewer
-    lists: a constant holds one, ``x`` two, and any instruction whose
-    operands are constants runs its own function, as :func:`evaluate_grid`
-    does.  Each slot's lists are released after its last use.
+    lists: a constant holds one, ``x`` two (one at order 0), and any
+    instruction whose operands hold one list each maps its own function
+    over the points.  Each slot's lists are released after its last use, so
+    memory follows the number of live slots times the length of the list.
+
+    Finiteness is checked as ``cmath.isfinite(sum(coefficient))``, which is
+    sound because a sum holding inf or nan is never finite, and only for the
+    tape's ``watched`` slots.  That misses no failure: ``add``, ``sub`` and
+    ``neg`` carry each coefficient through, and ``mul`` puts ``u[k] v[0]``
+    into coefficient k of its result, and a complex product with a factor
+    that is not finite is never finite, so a non-finite coefficient in an
+    unwatched slot is passed on until it reaches a watched slot (the root
+    at the latest), which is checked before any other function reads it.
 
     Raises ``ArithmeticError`` or ``ValueError`` where a rule fails (a zero
     divisor, log of 0, a power or a square root at a zero base, whose
     higher coefficients divide by it) and an ``ArithmeticError`` where a
-    coefficient is not finite; it never names a subterm, because a caller
-    that needs the error's text reruns the derivative's own tape.
+    coefficient is not finite, or where only its sum overflows; it never
+    names a subterm, because :func:`evaluate` does that.
     """
     n = len(points)
     jets: list = [None if c is None else [[c] * n] for c in tape.slots]
     jets[0] = [list(map(complex, points)), [complex(1.0)] * n][:order + 1]
-    last_use = tape.last_use
+    last_use, watched = tape.last_use, tape.watched
     isfinite = cmath.isfinite
     for i, (slot, fn, a, b, _, _) in enumerate(tape.code):
         u = jets[a]
@@ -539,9 +517,8 @@ def taylor_grid(tape: Tape, points: Sequence[complex], order: int) -> list[list]
             v = jets[b]
             out = ([list(map(fn, u[0], v[0]))] if len(u) == len(v) == 1
                    else _JET_RULES[fn](u, v, order))
-        for coefficient in out:
-            if not isfinite(sum(coefficient)):
-                raise ArithmeticError("non-finite Taylor coefficient")
+        if slot in watched and not all(isfinite(sum(c)) for c in out):
+            raise ArithmeticError("non-finite Taylor coefficient")
         jets[slot] = out
         if last_use[a] == i:
             jets[a] = None
@@ -742,7 +719,9 @@ def differentiate(e: Expr) -> Expr:
     Each distinct node object is differentiated once per call and its
     derivative reused wherever ``e`` refers to it again, so derivatives of
     derivatives share subtrees and cost their distinct objects, not their
-    size as trees.
+    size as trees.  A subterm without ``x`` differentiates to the constant
+    0, never through its own rule, which may divide by the subterm's value
+    (``sqrt(0)``, ``(2-2)^0.5``).
     """
     return _derivative(e, {})
 
@@ -758,7 +737,9 @@ def _derivative(e: Expr, done: dict[int, Expr]) -> Expr:
         out = _ONE
     elif kind is Unary:
         u, du = e.arg, _derivative(e.arg, done)
-        if e.op == "neg":
+        if du is _ZERO:
+            out = _ZERO
+        elif e.op == "neg":
             out = Unary("neg", du)
         elif e.op == "exp":
             out = Binary("*", e, du)
@@ -774,7 +755,9 @@ def _derivative(e: Expr, done: dict[int, Expr]) -> Expr:
             raise AssertionError(f"unhandled unary op {e.op!r}")
     else:
         dl, dr = _derivative(e.left, done), _derivative(e.right, done)
-        if e.op == "+":
+        if dl is _ZERO and dr is _ZERO:
+            out = _ZERO
+        elif e.op == "+":
             out = Binary("+", dl, dr)
         elif e.op == "-":
             out = Binary("-", dl, dr)

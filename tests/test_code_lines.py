@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
 code_lines = importlib.util.module_from_spec(_spec)
@@ -36,3 +38,12 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [["6", "a.py"], ["1", "b.py"], ["7", "total"]]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["{tmp}/missing"], ["{tmp}/empty"], ["{tmp}", "{tmp}"]])
+def test_anything_but_one_directory_of_modules_is_a_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "empty").mkdir()
+    assert code_lines.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ")

@@ -63,6 +63,10 @@ FIXED = [
     # that parses without non-finite constants means finite, dominant T32/T33
     (["--f", "exp(x)", "--a", "0", "--b", "1", "--q", "1.00254"], 0),
     (["--f", "exp(x)", "--a", "0", "--b", "1", "--q", "1.001"], 0),
+    # f' is constant, but the rules of sqrt and the power divided by the
+    # constant subterm's value: was exit 3
+    (["--f", "x + sqrt(0)", "--a", "0.5", "--b", "1", "--q", "1"], 0),
+    (["--f", "x*(2-2)^0.5", "--a", "0.5", "--b", "1", "--q", "1"], 0),
 ]
 
 _coefficients = st.integers(-10, 10).map(lambda n: f"{n / 10:g}")

@@ -20,6 +20,7 @@ from simpbound import (
     parse,
     to_text,
 )
+from simpbound.expr import _ZERO
 
 
 class TestParse:
@@ -258,18 +259,19 @@ def _unshared(e):
 
 _constants = st.floats(min_value=0.3, max_value=2.5, allow_nan=False).map(
     lambda v: Const(complex(v)))
-_leaves = st.one_of(_constants, st.just(Var()))
-_exprs = st.recursive(
-    _leaves,
-    lambda child: st.one_of(
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda child: st.one_of(
         st.builds(lambda a: Unary("neg", a), child),
         st.builds(Unary, st.sampled_from(("exp", "log", "sin", "cos", "sqrt")), child),
         st.builds(Binary, st.sampled_from(("+", "-", "*", "/")), child, child),
         st.builds(lambda b, c: Binary("^", b, Const(complex(c))), child,
                   st.sampled_from((2.0, 3.0, 0.5, 1.5))),
-    ),
-    max_leaves=8,
-)
+    ), max_leaves=8)
+
+
+_exprs = _trees(st.one_of(_constants, st.just(Var())))
 _points = st.builds(complex, st.floats(min_value=0.4, max_value=1.8),
                     st.floats(min_value=0.15, max_value=0.9))
 
@@ -293,6 +295,12 @@ def test_derivative_matches_central_difference(e, z):
     assume(abs(forward - backward) < 1e-2 * (1.0 + abs(sym)))
     fd = (fp - fm) / (2.0 * h)
     assert abs(sym - fd) / (1.0 + abs(sym)) < 1e-5
+
+
+@given(e=_trees(_constants))
+@settings(max_examples=80)
+def test_a_tree_without_x_differentiates_to_zero(e):
+    assert differentiate(e) is _ZERO
 
 
 @given(e=_exprs)

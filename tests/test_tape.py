@@ -1,6 +1,6 @@
 """The tape against the recursive tree walk it replaced, kept here as the reference,
-the grid evaluator against the tape run point by point, and the Taylor jets against
-the tapes of symbolic derivatives."""
+the grid evaluator (the jets at order 0) against the tape run point by point, and the
+Taylor jets against the tapes of symbolic derivatives."""
 
 import cmath
 import math
@@ -286,6 +286,27 @@ def test_jets_match_the_symbolic_derivatives_wherever_they_succeed(e, grid):
         for got, expected in zip(jets[k], want[k]):
             allowed = JET_TOLERANCE * (1 + abs(expected) + scale * scale)
             assert abs(got - expected) <= allowed, (k, got, expected)
+
+
+@pytest.mark.parametrize("order", [0, 4])
+def test_a_non_finite_jet_in_an_unwatched_slot_raises_at_a_watched_one(order):
+    tape = Tape(parse("exp(-(x*x*x*x))"))
+    quartic = next(slot for slot, _, _, _, node, _ in tape.code if str(node) == "x*x*x*x")
+    assert quartic not in tape.watched  # only the negation reads it
+    # x^4 is inf at 1e100, and exp(-inf) would be 0
+    with pytest.raises(ArithmeticError):
+        taylor_grid(tape, [1.0, 1e100], order)
+
+
+@given(e=_exprs, grid=st.lists(_points, max_size=4), order=st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_every_coefficient_the_jets_return_is_finite(e, grid, order):
+    try:
+        jets = taylor_grid(Tape(e), grid, order)
+    except (ArithmeticError, ValueError):
+        return
+    assert len(jets) == order + 1
+    assert all(cmath.isfinite(c) for coefficients in jets for c in coefficients)
 
 
 # Inputs on which the jets fail, with estimate_m4's outcome at the commit before it

@@ -7,7 +7,8 @@ with ``ast``; comments and blank lines are found with ``tokenize``.
 
     python tools/code_lines.py [directory]   # default: src/simpbound
 
-prints the count per module, then the total.
+prints the count per module, then the total; anything but one directory that
+holds modules exits 2 with a usage line on standard error.
 """
 
 from __future__ import annotations
@@ -45,8 +46,12 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else "src/simpbound")
+    paths = sorted(root.glob("*.py"))
+    if len(argv) > 1 or not paths:
+        print(f"usage: python tools/code_lines.py [directory of modules] (got {argv})", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
