@@ -2,7 +2,10 @@
 
 All four theorem bounds are built from |f'| at the real endpoints a and b,
 the segment length L = b - a (the rotation factor enters only through its
-modulus, which is 1), and a finite exponent q >= 1.  The classical
+modulus, which is 1), and a finite exponent q >= 1.  T32 to T34 share one
+power mean of |f'(a)| and |f'(b)|, scaled by their maximum so that no
+|f'|^q underflows or overflows, and T32 and T33 share one root of the
+kernel moment, which never forms the moment itself.  The classical
 fourth-order bound m4 * L^4 / 2880 is included for phi = 0, with m4 the
 largest |f''''| at M4_SAMPLES points of [a, b]: from Taylor jets of f's own
 tape, or, where they fail, from the symbolic f'''' sampled by
@@ -12,7 +15,7 @@ tape, or, where they fail, from the symbolic f'''' sampled by
 from __future__ import annotations
 
 from collections import namedtuple
-from math import exp, inf, isfinite, log, log1p
+from math import inf, isfinite
 from typing import NamedTuple, Optional
 
 from .convexity import path_moduli
@@ -106,7 +109,9 @@ def kernel_moment(p: float) -> float:
     """Closed form of the half-interval moment: integral of |t-1/6|^p over [0, 1/2].
 
     Equals (1 + 2^(p+1)) / (6^(p+1) (p+1)); at p=1 this is 5/72, at p=2 it
-    is 1/72.
+    is 1/72.  T32 and T33 do not call it: 6^(p+1) (p+1) overflows to inf
+    above p of about 391, so the moment reads 0 there, and 6^(p+1) raises
+    OverflowError above p of about 395.
     """
     if not 0.0 < p < inf:
         raise ValueError(f"moment exponent must be finite and positive, got {p}")
@@ -114,21 +119,29 @@ def kernel_moment(p: float) -> float:
 
 
 def _moment_root(p: float, scale: float) -> float:
-    """(scale * kernel_moment(p))^(1/p), which T32 and T33 take.
+    """(scale * kernel_moment(p))^(1/p), which T32 and T33 take, without forming the moment.
 
-    Above p of about 391 (q just above 1) 6^(p+1) leaves the float range and
-    the moment overflows or reads 0; the root is then taken in log space,
-    with log kernel_moment(p) = -(p+1) ln 3 + log1p(2^-(p+1)) - ln(p+1).
-    Everywhere else the direct form stays, so those bounds keep their bits.
+    kernel_moment(p) = (1 + 2^-(p+1)) / ((p+1) 3^(p+1)), so the root is
+    (scale (1 + 2^-(p+1)) / (p+1))^(1/p) / 3^((p+1)/p), whose every factor
+    stays in the float range for all p >= 1.
     """
-    try:
-        root = (scale * kernel_moment(p)) ** (1.0 / p)
-    except OverflowError:
-        root = 0.0
-    if root > 0.0:
-        return root
-    log_moment = -(p + 1.0) * log(3.0) + log1p(2.0 ** -(p + 1.0)) - log(p + 1.0)
-    return exp((log(scale) + log_moment) / p)
+    return (scale * (1.0 + 2.0 ** -(p + 1.0)) / (p + 1.0)) ** (1.0 / p) / 3.0 ** ((p + 1.0) / p)
+
+
+def _power_means(inputs: BoundInputs, total: float, *weights: tuple[float, float]) -> float:
+    """Sum over (wa, wb) in ``weights`` of ((wa A^q + wb B^q) / total)^(1/q),
+    with A = |f'(a)| and B = |f'(b)|.
+
+    A and B are divided by s = max(A, B) before the power and s multiplies
+    the sum of the roots, so no power underflows or overflows at any q;
+    with s = 0 the sum is 0.
+    """
+    s = max(inputs.deriv_a, inputs.deriv_b)
+    if s == 0.0:
+        return 0.0
+    q = inputs.q
+    aq, bq = (inputs.deriv_a / s) ** q, (inputs.deriv_b / s) ** q
+    return s * sum(((wa * aq + wb * bq) / total) ** (1.0 / q) for wa, wb in weights)
 
 
 def bound_t31(inputs: BoundInputs) -> float:
@@ -142,13 +155,8 @@ def bound_t32(inputs: BoundInputs) -> float:
     L * kernel_moment(p)^(1/p) * [ ((3A^q + B^q)/8)^(1/q) + ((A^q + 3B^q)/8)^(1/q) ]
     with A = |f'(a)|, B = |f'(b)| and p the conjugate exponent.
     """
-    p = inputs.p
-    q = inputs.q
-    aq = inputs.deriv_a ** q
-    bq = inputs.deriv_b ** q
-    factor = _moment_root(p, 1.0)
-    halves = ((3.0 * aq + bq) / 8.0) ** (1.0 / q) + ((aq + 3.0 * bq) / 8.0) ** (1.0 / q)
-    return inputs.length * factor * halves
+    return (inputs.length * _moment_root(inputs.p, 1.0)
+            * _power_means(inputs, 8.0, (3.0, 1.0), (1.0, 3.0)))
 
 
 def bound_t33(inputs: BoundInputs) -> float:
@@ -156,10 +164,7 @@ def bound_t33(inputs: BoundInputs) -> float:
 
     L * (2 kernel_moment(p))^(1/p) * ((A^q + B^q)/2)^(1/q).
     """
-    p = inputs.p
-    q = inputs.q
-    mean = ((inputs.deriv_a ** q + inputs.deriv_b ** q) / 2.0) ** (1.0 / q)
-    return inputs.length * _moment_root(p, 2.0) * mean
+    return inputs.length * _moment_root(inputs.p, 2.0) * _power_means(inputs, 2.0, (1.0, 1.0))
 
 
 def bound_t34(inputs: BoundInputs) -> float:
@@ -167,13 +172,8 @@ def bound_t34(inputs: BoundInputs) -> float:
 
     L * (5/72)^(1-1/q) * [ ((61A^q + 29B^q)/1296)^(1/q) + ((29A^q + 61B^q)/1296)^(1/q) ].
     """
-    q = inputs.q
-    aq = inputs.deriv_a ** q
-    bq = inputs.deriv_b ** q
-    lead = (5.0 / 72.0) ** (1.0 - 1.0 / q)
-    halves = (((61.0 * aq + 29.0 * bq) / 1296.0) ** (1.0 / q)
-              + ((29.0 * aq + 61.0 * bq) / 1296.0) ** (1.0 / q))
-    return inputs.length * lead * halves
+    lead = (5.0 / 72.0) ** (1.0 - 1.0 / inputs.q)
+    return inputs.length * lead * _power_means(inputs, 1296.0, (61.0, 29.0), (29.0, 61.0))
 
 
 def classical_bound(m4: float, length: float) -> float:

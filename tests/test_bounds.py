@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from simpbound import (
     BoundInputs,
@@ -158,17 +158,22 @@ Q_NEAR_ONE = (1.0000000000000002, 1.001, 1.0025, 1.00254, 1.0026)
 
 
 def _mp_hoelder_bounds(inputs):
-    """T32 and T33 of ``inputs`` in 50-digit arithmetic, from the same formulas."""
+    """T32, T33 and T34 of ``inputs`` in 50-digit arithmetic, from the same
+    formulas; T32 and T33 are None at q = 1, where p is undefined."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         q = mpmath.mpf(inputs.q)
+        aq, bq = mpmath.mpf(inputs.deriv_a) ** q, mpmath.mpf(inputs.deriv_b) ** q
+        t34 = inputs.length * (mpmath.mpf(5) / 72) ** (1 - 1 / q) * (
+            ((61 * aq + 29 * bq) / 1296) ** (1 / q) + ((29 * aq + 61 * bq) / 1296) ** (1 / q))
+        if q == 1:
+            return None, None, float(t34)
         p = q / (q - 1)
         moment = (1 + 2 ** (p + 1)) / (6 ** (p + 1) * (p + 1))
-        aq, bq = mpmath.mpf(inputs.deriv_a) ** q, mpmath.mpf(inputs.deriv_b) ** q
         t32 = inputs.length * moment ** (1 / p) * (((3 * aq + bq) / 8) ** (1 / q)
                                                    + ((aq + 3 * bq) / 8) ** (1 / q))
         t33 = inputs.length * (2 * moment) ** (1 / p) * ((aq + bq) / 2) ** (1 / q)
-        return float(t32), float(t33)
+        return float(t32), float(t33), float(t34)
 
 
 class TestQJustAboveOne:
@@ -187,6 +192,31 @@ class TestQJustAboveOne:
         actual = abs(identity_residual(f, iv).lhs)
         assert actual <= bound_t32(inputs)
         assert actual <= bound_t33(inputs)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_the_moment_root_agrees_with_the_moment_where_it_is_in_range(scale):
+    for p in [*map(float, range(1, 392)), 1.5, 2.5, 390.5]:
+        direct = (scale * kernel_moment(p)) ** (1.0 / p)
+        assert abs(bounds._moment_root(p, scale) - direct) <= 1e-15 * direct, p
+
+
+# |f'(a)| and |f'(b)| log-uniform over [1e-300, 1e300], or 0
+_wide_derivatives = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+_wide_qs = st.one_of(st.sampled_from((1.0, 1.5, 2.0, 3.0, 5.0, 400.0, 1000.0, *Q_NEAR_ONE)),
+                     st.floats(min_value=1.0, max_value=1.01, exclude_min=True))
+
+
+@settings(max_examples=300)
+@given(a=_wide_derivatives, b=_wide_derivatives, length=st.floats(1e-3, 1e3), q=_wide_qs)
+def test_power_mean_bounds_keep_their_value_at_every_scale(a, b, length, q):
+    inputs = BoundInputs(a, b, length, q)
+    for fn, reference in zip((bound_t32, bound_t33, bound_t34), _mp_hoelder_bounds(inputs)):
+        if reference is None:
+            continue
+        value = fn(inputs)
+        assert math.isfinite(value) and (value > 0.0) == (max(a, b) > 0.0)
+        assert abs(value - reference) <= 1e-14 * reference, (fn.__name__, value, reference)
 
 
 class TestClassicalBound:

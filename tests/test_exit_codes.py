@@ -32,7 +32,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simpbound.cli import main
 
@@ -67,6 +67,9 @@ FIXED = [
     # constant subterm's value: was exit 3
     (["--f", "x + sqrt(0)", "--a", "0.5", "--b", "1", "--q", "1"], 0),
     (["--f", "x*(2-2)^0.5", "--a", "0.5", "--b", "1", "--q", "1"], 0),
+    # |f'|^400 underflowed to 0, so T32-T34 read 0 and a verified certificate
+    # made that a violation: was exit 1
+    (["--f", "cos(0.3*x)", "--a", "0.8", "--b", "0.9", "--phi", "pi/6", "--q", "400"], 0),
 ]
 
 _coefficients = st.integers(-10, 10).map(lambda n: f"{n / 10:g}")
@@ -111,6 +114,13 @@ def _reject(constant):
     raise ValueError(f"non-finite constant {constant}")
 
 
+def _zero_bounds_beside_a_positive_t31(run: dict) -> list[dict]:
+    """Theorem rows whose bound is 0 at a q where T31's is not; T31 > 0 exactly
+    when max(|f'(a)|, |f'(b)|) > 0, and then so are T32 to T34."""
+    t31 = {row["q"]: row["bound"] for row in run["bounds"] if row["theorem"] == "T31"}
+    return [row for row in run["bounds"] if row["bound"] <= 0.0 < t31[row["q"]]]
+
+
 def _shows_a_failure(run: dict) -> bool:
     """An identity failure or a bound violated under a verified certificate."""
     rows = run["bounds"] + ([run["classical"]] if run["classical"] else [])
@@ -124,8 +134,9 @@ def run_main(argv: list[str], fmt: str) -> int:
 
     Every check of the exit-code contract runs here: no exception escapes,
     the code is 0 to 3, a failed run writes only its ``simpbound:`` line, a
-    JSON report parses with non-finite constants rejected, and exit 1 comes
-    with a failure the report shows.
+    JSON report parses with non-finite constants rejected, no run of it has a
+    zero theorem bound beside a positive T31, and exit 1 comes with a failure
+    the report shows.
     """
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -136,6 +147,7 @@ def run_main(argv: list[str], fmt: str) -> int:
     elif fmt == "json":
         doc = json.loads(out.getvalue(), parse_constant=_reject)
         runs = [r for r in doc.get("runs", [doc]) if r.get("status", "ok") == "ok"]
+        assert [_zero_bounds_beside_a_positive_t31(r) for r in runs] == [[]] * len(runs)
         assert (code == 1) == any(_shows_a_failure(r) for r in runs)
     return code
 
@@ -144,6 +156,8 @@ FORMATS = ("json", "csv", "table")
 
 
 @settings(max_examples=150)
+@example(argv=["verify", "--f", "cos(0.3*x)", "--a", "0.8", "--b", "0.9000000000000001",
+               "--phi", "pi/6", "--q", "400"], fmt="json", samples=31)
 @given(argv=st.one_of(_verify_argv(), _sweep_argv()), fmt=st.sampled_from(FORMATS),
        samples=st.integers(3, 41))
 def test_generated_inputs_keep_the_exit_code_contract(argv, fmt, samples):

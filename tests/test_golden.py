@@ -12,13 +12,16 @@ alters any report byte must say why and regenerate the corpus with
     PYTHONPATH=src python tests/test_golden.py
 
 which, before it overwrites each file, prints one line saying what moved:
-``unchanged``, ``bytes changed, values identical`` or ``N values changed``
-followed by the first JSON paths, CSV cells or table lines that changed,
-and, when numbers moved, the largest relative change among them and its
-size in units in the last place, so that a move in the last bits reads as
-one.  Numbers are compared bit for bit as IEEE-754 doubles (JSON integers
-read as floats), so a change of number text alone, such as ``24`` to
-``24.0``, keeps the values identical while ``0`` to ``-0`` does not.
+``unchanged``, ``bytes changed, values identical`` or ``N values changed,
+K not numbers`` followed by the first JSON paths, CSV cells or table lines
+that changed, those that are not numbers (flags, statuses, verdicts, error
+texts, table lines) first, and, when numbers moved, the largest relative
+change among them and its size in units in the last place.  So a move in
+the last bits reads as one, and ``0 not numbers`` shows that no flag or
+verdict flipped.  Numbers are compared bit for bit as IEEE-754 doubles
+(JSON integers read as floats), so a change of number text alone, such as
+``24`` to ``24.0``, keeps the values identical while ``0`` to ``-0`` does
+not.
 """
 
 from __future__ import annotations
@@ -109,9 +112,12 @@ def describe_change(name: str, old: bytes, new: bytes) -> str:
              if where not in before or where not in after or before[where] != after[where]]
     if not moved:
         return "bytes changed, values identical"
-    change = f"{len(moved)} values changed: {', '.join(moved[:SHOWN_CHANGES])}"
+    not_numbers = [where for where in moved if not (isinstance(before.get(where), bytes)
+                                                    and isinstance(after.get(where), bytes))]
     numbers = [(_relative_change(before[where], after[where]), where) for where in moved
-               if isinstance(before.get(where), bytes) and isinstance(after.get(where), bytes)]
+               if where not in not_numbers]
+    named = [*not_numbers, *(where for _, where in numbers)][:SHOWN_CHANGES]
+    change = f"{len(moved)} values changed, {len(not_numbers)} not numbers: {', '.join(named)}"
     if not numbers:
         return change
     (relative, ulps), where = max(numbers)
@@ -164,20 +170,33 @@ def test_a_change_of_number_text_alone_keeps_the_values():
 
 def test_a_changed_value_is_named_down_to_its_sign():
     assert describe_change("r.json", b'{"b": [0, 1]}', b'{"b": [-0.0, 1]}') == (
-        "1 values changed: b[0]; largest relative change 0 (1 ulp) at b[0]")
+        "1 values changed, 0 not numbers: b[0]; largest relative change 0 (1 ulp) at b[0]")
     assert describe_change("r.csv", b"a,q\nx,1\n", b"a,q\ny,1.5\n") == (
-        "2 values changed: row 1 a, row 1 q; "
+        "2 values changed, 1 not numbers: row 1 a, row 1 q; "
         "largest relative change 0.5 (2251799813685248 ulp) at row 1 q")
-    assert describe_change("r.txt", b"x\ny\n", b"x\nz\n") == "1 values changed: line 2"
+    assert describe_change("r.txt", b"x\ny\n", b"x\nz\n") == (
+        "1 values changed, 1 not numbers: line 2")
+
+
+def test_values_that_are_not_numbers_are_counted_and_named_first():
+    old = b'{"bound": 1.0, "slack": 2.0, "dominant": true, "verdict": "all-dominant"}'
+    new = b'{"bound": 1.5, "slack": 2.0, "dominant": false, "verdict": "violation"}'
+    assert describe_change("r.json", old, new) == (
+        "3 values changed, 2 not numbers: dominant, verdict, bound; "
+        "largest relative change 0.5 (2251799813685248 ulp) at bound")
+    # a number that becomes text, or a cell that appears, is not a number either
+    assert describe_change("r.csv", b"a,b\n1.0,2.0\n", b"a,b,c\n1.0,x,3.0\n") == (
+        "2 values changed, 2 not numbers: row 1 b, row 1 c")
 
 
 def test_a_changed_number_is_measured_in_ulps():
     assert describe_change("r.json", b'{"m4": 1.0, "b": 3.0}',
                            b'{"m4": 1.0000000000000002, "b": 3.0}') == (
-        "1 values changed: m4; largest relative change 2.22e-16 (1 ulp) at m4")
+        "1 values changed, 0 not numbers: m4; largest relative change 2.22e-16 (1 ulp) at m4")
     # the largest of several relative changes is named; crossing zero passes -0.0 and 0.0
     assert describe_change("r.csv", b"m,s\n2.0,5e-324\n", b"m,s\n2.5,-5e-324\n") == (
-        "2 values changed: row 1 m, row 1 s; largest relative change 2 (3 ulp) at row 1 s")
+        "2 values changed, 0 not numbers: row 1 m, row 1 s; "
+        "largest relative change 2 (3 ulp) at row 1 s")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ def test_the_library_snippet_runs():
     exec(snippet, names)
     iv = PhiInterval(0.0, 2.0, phi=0.785398163397448)
     without_certificate = bound_t34(BoundInputs.from_function(parse("exp(x)"), iv, q=2.0))
-    assert names["bound"] == without_certificate == 1.4422273479089347
+    assert names["bound"] == without_certificate == 1.442227347908935
 
 
 def _option_defaults() -> dict[str, str]:
